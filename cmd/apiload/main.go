@@ -7,17 +7,17 @@
 // rate, latency measured from the scheduled arrival, so a stalling
 // server cannot hide behind coordinated omission) — plus a ramp mode
 // that steps the arrival rate until the p99 target breaks, and a
-// ceiling mode that walks a closed-loop worker ladder against an
-// in-process server for both read paths (legacy single-lock structs vs
-// the encoded hot path) and reports each path's max sustainable RPS
-// under the SLO.
+// ceiling mode that walks a closed-loop worker ladder against two
+// in-process read paths (the legacy single-lock struct baseline,
+// loadgen.Baseline, vs the served encoded hot path) and reports each
+// path's max sustainable RPS under the SLO.
 //
 // Usage:
 //
 //	apiload -target http://127.0.0.1:8080 -mode open -rps 200 -duration 30s
 //	apiload -packages 300 -seed 17 -mode closed -workers 16    # in-process server
 //	apiload -target http://127.0.0.1:8080 -ramp 50:50:1000 -slo-p99 100
-//	apiload -ceiling 1,2,4,8 -packages 60 -slo-p99 200         # legacy vs hot ceilings
+//	apiload -ceiling 1,2,4,8 -packages 60 -slo-p99 200         # baseline vs hot ceilings
 //
 // The JSON reports (-out) are what cmd/benchgate -serving gates in CI.
 package main
@@ -66,7 +66,7 @@ func main() {
 		ramp   = flag.String("ramp", "", "ramp profile start:step:max in RPS (runs open-loop stages until the SLO breaks)")
 		sloP99 = flag.Float64("slo-p99", 100, "ramp pass criterion: stage p99 <= this many ms")
 
-		ceiling = flag.String("ceiling", "", "comma-separated closed-loop worker counts, e.g. 1,2,4,8: measure the in-process max-throughput ceiling of the legacy read path vs the encoded hot path over one study and emit the comparison (ignores -target)")
+		ceiling = flag.String("ceiling", "", "comma-separated closed-loop worker counts, e.g. 1,2,4,8: measure the in-process max-throughput ceiling of the legacy struct read path (loadgen.Baseline) vs the encoded hot path over one study and emit the comparison (ignores -target; -mix may name only importance, footprint, completeness, suggest and path)")
 
 		outPath = flag.String("out", "", "write the JSON report here (empty: stdout)")
 		wait    = flag.Duration("wait-healthy", 10*time.Second, "poll -target /healthz up to this long before driving load")
@@ -194,10 +194,12 @@ func writeResult(result any, outPath string) {
 
 // runCeiling measures the serving stack's maximum sustainable
 // throughput twice over the same resident study — once through the
-// legacy single-lock read path, once through the encoded hot path —
-// and reports the comparison benchgate holds to its speedup floor. The
-// drivers dispatch straight into each API's handler (no sockets), so
-// the measured difference is the read path itself.
+// legacy single-lock struct baseline (loadgen.Baseline, which serves
+// the five read routes of the default ceiling mix), once through the
+// served API's encoded hot path — and reports the comparison benchgate
+// holds to its speedup floor. The drivers dispatch straight into each
+// handler (no sockets). The baseline skips the API's middleware
+// (request IDs, metrics, admission), which only makes the gate stricter.
 func runCeiling(ctx context.Context, spec, corpusDir string, packages int, seed int64,
 	duration, warmup time.Duration, mix loadgen.Mix, loadSeed int64, sloP99 float64) *loadgen.CeilingComparison {
 	var workersSeq []int
@@ -215,16 +217,21 @@ func runCeiling(ctx context.Context, spec, corpusDir string, packages int, seed 
 	if len(workersSeq) == 0 {
 		log.Fatalf("bad -ceiling %q (want comma-separated worker counts)", spec)
 	}
+	// Read-only mix over the five routes the baseline serves: the
+	// comparison is about the query read path.
+	readMix := loadgen.Mix{
+		loadgen.EpImportance:   30,
+		loadgen.EpFootprint:    25,
+		loadgen.EpCompleteness: 20,
+		loadgen.EpSuggest:      15,
+		loadgen.EpPath:         10,
+	}
 	if len(mix) == 0 {
-		// Read-only mix: the comparison is about the query read path, so
-		// keep upload analysis (identical in both configurations, and far
-		// more expensive) out of the stream.
-		mix = loadgen.Mix{
-			loadgen.EpImportance:   30,
-			loadgen.EpFootprint:    25,
-			loadgen.EpCompleteness: 20,
-			loadgen.EpSuggest:      15,
-			loadgen.EpPath:         10,
+		mix = readMix
+	}
+	for ep, w := range mix {
+		if _, ok := readMix[ep]; !ok && w > 0 {
+			log.Fatalf("-ceiling: -mix has %q, but the baseline serves only importance, footprint, completeness, suggest and path", ep)
 		}
 	}
 
@@ -233,14 +240,9 @@ func runCeiling(ctx context.Context, spec, corpusDir string, packages int, seed 
 	if err != nil {
 		log.Fatal(err)
 	}
-	measure := func(legacy bool) *loadgen.CeilingReport {
-		svc := service.New(study, "ceiling", service.Config{})
-		api := httpapi.New(svc, httpapi.Options{
-			RequestTimeout: time.Minute,
-			LegacyReadPath: legacy,
-		})
+	measure := func(handler http.Handler) *loadgen.CeilingReport {
 		rep, err := loadgen.Ceiling(ctx, profile, loadgen.Options{
-			Handler:  api,
+			Handler:  handler,
 			Duration: duration,
 			Warmup:   warmup,
 			Mix:      mix,
@@ -251,12 +253,13 @@ func runCeiling(ctx context.Context, spec, corpusDir string, packages int, seed 
 		}
 		return rep
 	}
-	log.Printf("ceiling: legacy read path, workers %v, %s + %s warmup per stage", workersSeq, duration, warmup)
-	baseline := measure(true)
+	log.Printf("ceiling: baseline read path, workers %v, %s + %s warmup per stage", workersSeq, duration, warmup)
+	baseline := measure(loadgen.NewBaseline(study))
 	log.Printf("ceiling: encoded hot path, same stages")
-	hot := measure(false)
+	hot := measure(httpapi.New(service.New(study, "ceiling", service.Config{}),
+		httpapi.Options{RequestTimeout: time.Minute}))
 	cmp := loadgen.CompareCeilings(baseline, hot)
-	log.Printf("max RPS under %.0fms p99: legacy %.0f, hot %.0f — speedup %.2fx",
+	log.Printf("max RPS under %.0fms p99: baseline %.0f, hot %.0f — speedup %.2fx",
 		sloP99, cmp.BaselineMaxRPS, cmp.MaxRPSUnderSLO, cmp.Speedup)
 	return cmp
 }

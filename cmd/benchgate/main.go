@@ -75,7 +75,8 @@ type artifact struct {
 	EvolutionSpeedup    float64 `json:"evolution_warm_speedup"`
 	MinEvolutionSpeedup float64 `json:"min_evolution_speedup"`
 	// Hotpath rows (BenchmarkQueryHotPath) gate the encoded read path
-	// against the legacy struct-cache path under parallel mixed reads:
+	// against the legacy struct-cache baseline (loadgen.Baseline) under
+	// parallel mixed reads:
 	// the byte cache and hotset exist to make steady-state queries
 	// lock-free, and a change that erodes the ratio below the floor
 	// fails CI.
@@ -348,7 +349,7 @@ type servingArtifact struct {
 	// MaxRPSUnderSLO is the hot read path's measured throughput ceiling
 	// (from -ceilings, falling back to the ramp's max passing rate);
 	// ServingThroughputSpeedup is its ratio over the legacy single-lock
-	// baseline, gated against MinThroughputSpeedup.
+	// baseline (loadgen.Baseline), gated against MinThroughputSpeedup.
 	MaxRPSUnderSLO           float64                    `json:"max_rps_under_slo,omitempty"`
 	BaselineMaxRPS           float64                    `json:"baseline_max_rps,omitempty"`
 	ServingThroughputSpeedup float64                    `json:"serving_throughput_speedup,omitempty"`

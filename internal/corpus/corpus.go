@@ -57,6 +57,11 @@ type Corpus struct {
 	// LibraryPaths lists the file paths of shared libraries, package by
 	// package, so the study can register them with the resolver first.
 	LibraryPaths []string
+
+	// emitted holds, for packages a release series re-emitted, the
+	// planted set their binaries were emitted from (Planted completes it
+	// with what libc reaches implicitly); later drifts start from it.
+	emitted map[string]footprint.Set
 }
 
 func sortStrings(ss []string) { sort.Strings(ss) }

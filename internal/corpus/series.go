@@ -197,10 +197,16 @@ func NextGeneration(prev *Corpus, cfg SeriesConfig, gen int) (*Corpus, error) {
 		Survey:         popcon.NewSurvey(prev.Survey.Total),
 		Planted:        make(map[string]footprint.Set, len(prev.Planted)),
 		InterpreterPkg: prev.InterpreterPkg,
+		emitted:        make(map[string]footprint.Set, len(prev.emitted)+cfg.Births+cfg.Drifts),
 	}
 	for name, fp := range prev.Planted {
 		if !dead[name] {
 			next.Planted[name] = fp
+		}
+	}
+	for name, fp := range prev.emitted {
+		if !dead[name] {
+			next.emitted[name] = fp
 		}
 	}
 
@@ -214,11 +220,11 @@ func NextGeneration(prev *Corpus, cfg SeriesConfig, gen int) (*Corpus, error) {
 		pkg := prev.Repo.Get(name)
 		switch {
 		case drifted[name]:
-			mut, fp, err := driftPackage(prev, em, pkg, version, rng)
+			mut, emitted, err := driftPackage(prev, em, pkg, version, rng)
 			if err != nil {
 				return nil, fmt.Errorf("drift %s: %w", name, err)
 			}
-			next.Planted[name] = fp
+			next.emitted[name], next.Planted[name] = emitted, groundTruth(prev.Model, emitted)
 			pkg = mut
 		case rewired[name]:
 			pkg = rewirePackage(prev, pkg, version, survivors, rng)
@@ -231,11 +237,11 @@ func NextGeneration(prev *Corpus, cfg SeriesConfig, gen int) (*Corpus, error) {
 	// Births: appended after the carried-forward archive.
 	for i := 0; i < cfg.Births; i++ {
 		name := fmt.Sprintf("pkg-g%02d-%02d", gen, i)
-		pkg, fp, err := birthPackage(prev, em, name, survivors, rng)
+		pkg, emitted, err := birthPackage(prev, em, name, survivors, rng)
 		if err != nil {
 			return nil, fmt.Errorf("birth %s: %w", name, err)
 		}
-		next.Planted[name] = fp
+		next.emitted[name], next.Planted[name] = emitted, groundTruth(prev.Model, emitted)
 		if err := next.Repo.Add(pkg); err != nil {
 			return nil, err
 		}
@@ -302,7 +308,11 @@ func driftCandidates(m *Model, exclude footprint.Set) []string {
 func driftPackage(prev *Corpus, em *emitter, pkg *apt.Package,
 	version string, rng *rand.Rand) (*apt.Package, footprint.Set, error) {
 
-	planted := prev.Planted[pkg.Name].Clone()
+	planted := prev.Planted[pkg.Name]
+	if fp, ok := prev.emitted[pkg.Name]; ok {
+		planted = fp
+	}
+	planted = planted.Clone()
 
 	// Deprecation: drop one non-base syscall, if any.
 	var removable []string
@@ -414,9 +424,8 @@ func birthPackage(prev *Corpus, em *emitter, name string,
 // emitOrdinary builds the standard two-binary ordinary package shape from
 // a planted footprint: a private shared library holding the raw,
 // non-mediated system calls and a main executable covering the rest. It
-// mirrors emitRegular's non-static path so planted == measurable, and
-// returns the final ground truth (planted plus the libc symbols the
-// emitter pulled in).
+// mirrors emitRegular's non-static path, and returns planted plus the
+// libc symbols the emitter pulled in (groundTruth completes it).
 func emitOrdinary(em *emitter, pkg *apt.Package, planted footprint.Set) (footprint.Set, error) {
 	apis := planted.Sorted()
 
@@ -474,4 +483,24 @@ func emitOrdinary(em *emitter, pkg *apt.Package, planted footprint.Set) (footpri
 	pkg.Files = append(pkg.Files, apt.File{Path: "/usr/bin/" + pkg.Name, Data: data})
 	em.elfFiles++
 	return planted, nil
+}
+
+// groundTruth completes an emitted ordinary package's planted set with
+// what its executable reaches through libc without it being planted:
+// the base band every libc program calls from __libc_start_main, and
+// the system call behind every imported libc wrapper (a drift that
+// drops a call from the planted set still imports its wrapper).
+func groundTruth(m *Model, emitted footprint.Set) footprint.Set {
+	truth := emitted.Clone()
+	for i := range m.Syscalls {
+		if t := &m.Syscalls[i]; t.Band == BandBase {
+			truth.Add(linuxapi.Sys(t.Name))
+		}
+	}
+	for api := range emitted {
+		if api.Kind == linuxapi.KindLibcSym && linuxapi.SyscallByName(api.Name) != nil {
+			truth.Add(linuxapi.Sys(api.Name))
+		}
+	}
+	return truth
 }

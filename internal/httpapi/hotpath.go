@@ -1,13 +1,11 @@
 package httpapi
 
-// The encoded read path: query handlers that serve pre-encoded answer
-// bytes from the service's hotset / sharded byte cache instead of
-// decoding cached structs and re-encoding JSON per request. The bytes
-// are identical to what the legacy handlers write (pinned by
-// equivalence tests); what changes is the cost — a steady-state hit is
-// a map probe plus one Write, with no lock and no encoder. Every
-// answer carries a strong ETag derived from the study fingerprint, so
-// polling clients revalidate with If-None-Match and get 304s.
+// The query handlers: each serves a pre-encoded answer from the
+// service's hotset / sharded byte cache, so a steady-state hit is a map
+// probe plus one Write, with no lock and no encoder. The bodies are
+// pinned by the golden response files in testdata/golden. Every answer
+// carries a strong ETag derived from the study fingerprint, so polling
+// clients revalidate with If-None-Match and get 304s.
 
 import (
 	"net/http"
@@ -48,7 +46,7 @@ func etagMatch(header, etag string) bool {
 	return false
 }
 
-func (a *API) handleImportanceBytes(w http.ResponseWriter, r *http.Request) {
+func (a *API) handleImportance(w http.ResponseWriter, r *http.Request) {
 	gen, err := genParam(r)
 	if err != nil {
 		writeError(w, r, http.StatusBadRequest, "%v", err)
@@ -62,7 +60,7 @@ func (a *API) handleImportanceBytes(w http.ResponseWriter, r *http.Request) {
 	writeEncoded(w, r, enc)
 }
 
-func (a *API) handleCompletenessBytes(w http.ResponseWriter, r *http.Request) {
+func (a *API) handleCompleteness(w http.ResponseWriter, r *http.Request) {
 	gen, err := genParam(r)
 	if err != nil {
 		writeError(w, r, http.StatusBadRequest, "%v", err)
@@ -81,7 +79,7 @@ func (a *API) handleCompletenessBytes(w http.ResponseWriter, r *http.Request) {
 	writeEncoded(w, r, enc)
 }
 
-func (a *API) handleSuggestBytes(w http.ResponseWriter, r *http.Request) {
+func (a *API) handleSuggest(w http.ResponseWriter, r *http.Request) {
 	gen, err := genParam(r)
 	if err != nil {
 		writeError(w, r, http.StatusBadRequest, "%v", err)
@@ -100,7 +98,7 @@ func (a *API) handleSuggestBytes(w http.ResponseWriter, r *http.Request) {
 	writeEncoded(w, r, enc)
 }
 
-func (a *API) handlePathBytes(w http.ResponseWriter, r *http.Request) {
+func (a *API) handlePath(w http.ResponseWriter, r *http.Request) {
 	gen, err := genParam(r)
 	if err != nil {
 		writeError(w, r, http.StatusBadRequest, "%v", err)
@@ -119,7 +117,7 @@ func (a *API) handlePathBytes(w http.ResponseWriter, r *http.Request) {
 	writeEncoded(w, r, enc)
 }
 
-func (a *API) handleFootprintBytes(w http.ResponseWriter, r *http.Request) {
+func (a *API) handleFootprint(w http.ResponseWriter, r *http.Request) {
 	gen, err := genParam(r)
 	if err != nil {
 		writeError(w, r, http.StatusBadRequest, "%v", err)
@@ -133,7 +131,7 @@ func (a *API) handleFootprintBytes(w http.ResponseWriter, r *http.Request) {
 	writeEncoded(w, r, enc)
 }
 
-func (a *API) handleSeccompBytes(w http.ResponseWriter, r *http.Request) {
+func (a *API) handleSeccomp(w http.ResponseWriter, r *http.Request) {
 	enc, err := a.svc.SeccompBytes(r.PathValue("pkg"), r.URL.Query().Get("deny"))
 	if err != nil {
 		writeServiceError(w, r, err)
@@ -142,7 +140,7 @@ func (a *API) handleSeccompBytes(w http.ResponseWriter, r *http.Request) {
 	writeEncoded(w, r, enc)
 }
 
-func (a *API) handlePlanBytes(w http.ResponseWriter, r *http.Request) {
+func (a *API) handlePlan(w http.ResponseWriter, r *http.Request) {
 	system := r.URL.Query().Get("system")
 	if system == "" {
 		writeError(w, r, http.StatusBadRequest, "missing system parameter")
@@ -156,45 +154,8 @@ func (a *API) handlePlanBytes(w http.ResponseWriter, r *http.Request) {
 	writeEncoded(w, r, enc)
 }
 
-func (a *API) handleCompatSystemsBytes(w http.ResponseWriter, r *http.Request) {
+func (a *API) handleCompatSystems(w http.ResponseWriter, r *http.Request) {
 	enc, err := a.svc.CompatSystemsBytes()
-	if err != nil {
-		writeServiceError(w, r, err)
-		return
-	}
-	writeEncoded(w, r, enc)
-}
-
-func (a *API) handleTrendImportanceBytes(w http.ResponseWriter, r *http.Request) {
-	top, err := positiveParam(r, "top")
-	if err != nil {
-		writeError(w, r, http.StatusBadRequest, "%v", err)
-		return
-	}
-	enc, err := a.svc.TrendImportanceBytes(r.URL.Query().Get("api"), top)
-	if err != nil {
-		writeServiceError(w, r, err)
-		return
-	}
-	writeEncoded(w, r, enc)
-}
-
-func (a *API) handleTrendCompletenessBytes(w http.ResponseWriter, r *http.Request) {
-	enc, err := a.svc.TrendCompletenessBytes(r.URL.Query().Get("target"))
-	if err != nil {
-		writeServiceError(w, r, err)
-		return
-	}
-	writeEncoded(w, r, enc)
-}
-
-func (a *API) handleTrendPathBytes(w http.ResponseWriter, r *http.Request) {
-	limit, err := positiveParam(r, "limit")
-	if err != nil {
-		writeError(w, r, http.StatusBadRequest, "%v", err)
-		return
-	}
-	enc, err := a.svc.TrendPathBytes(r.URL.Query().Get("direction"), limit)
 	if err != nil {
 		writeServiceError(w, r, err)
 		return

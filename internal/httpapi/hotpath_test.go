@@ -21,10 +21,10 @@ var (
 	eqErr   error
 )
 
-// eqServers builds a fresh legacy-path server and a fresh byte-path
-// server over the same study. Fresh services per call, so cache
-// temperature is controlled by the test, not by ordering.
-func eqServers(t *testing.T) (legacy, hot *httptest.Server) {
+// eqServer builds a fresh server over the shared study. A fresh service
+// per call, so cache temperature is controlled by the test, not by
+// ordering.
+func eqServer(t *testing.T) *httptest.Server {
 	t.Helper()
 	eqOnce.Do(func() {
 		eqStudy, eqErr = repro.NewStudy(repro.Config{Packages: 100, Installations: 150000, Seed: 31})
@@ -32,18 +32,14 @@ func eqServers(t *testing.T) (legacy, hot *httptest.Server) {
 	if eqErr != nil {
 		t.Fatal(eqErr)
 	}
-	mk := func(legacyPath bool) *httptest.Server {
-		svc := service.New(eqStudy, "equivalence", service.Config{})
-		ts := httptest.NewServer(New(svc, Options{RequestTimeout: time.Minute, LegacyReadPath: legacyPath}))
-		t.Cleanup(ts.Close)
-		return ts
-	}
-	return mk(true), mk(false)
+	svc := service.New(eqStudy, "equivalence", service.Config{})
+	ts := httptest.NewServer(New(svc, Options{RequestTimeout: time.Minute}))
+	t.Cleanup(ts.Close)
+	return ts
 }
 
 // requestIDPattern matches the per-request nonce in error envelopes;
-// it is random on every request on both read paths, so equivalence
-// compares bodies with it normalized out.
+// it is random on every request, so body comparisons normalize it out.
 var requestIDPattern = regexp.MustCompile(`"request_id": "r-[0-9a-f]+"`)
 
 // fetch performs one request and returns status plus body bytes, with
@@ -73,145 +69,12 @@ func fetch(t *testing.T, ts *httptest.Server, method, path string, body string) 
 	return resp.StatusCode, requestIDPattern.ReplaceAll(raw, []byte(`"request_id": "r-X"`))
 }
 
-// TestByteHandlersMatchLegacy is the byte-identity contract: for every
-// query endpoint the byte path serves exactly the bytes the legacy
-// struct path would have written — cold against cold and warm against
-// warm. Hotset-precomputed answers (full path, compat table) are
-// warm-from-birth, so their first byte-path response equals the legacy
-// path's *second* response, the way any pre-warmed cache behaves.
-func TestByteHandlersMatchLegacy(t *testing.T) {
-	legacy, hot := eqServers(t)
-
-	// Endpoints with no cache temperature in the body: every pairing
-	// must be byte-identical, including error answers.
-	stateless := []struct{ method, path, body string }{
-		{"GET", "/v1/importance/read", ""},
-		{"GET", "/v1/importance/lookup_dcookie", ""},
-		{"GET", "/v1/importance/no_such_call", ""},
-		{"GET", "/v1/footprint/definitely-not-a-package", ""},
-		{"GET", "/v1/path?n=bogus", ""},
-		{"GET", "/v1/trends/importance", ""}, // no series resident: 404
-		{"POST", "/v1/completeness", `{not json`},
-	}
-	for _, q := range stateless {
-		for i := 0; i < 2; i++ { // cold and repeat
-			lc, lb := fetch(t, legacy, q.method, q.path, q.body)
-			hc, hb := fetch(t, hot, q.method, q.path, q.body)
-			if lc != hc || !bytes.Equal(lb, hb) {
-				t.Errorf("%s %s (pass %d): legacy %d %q vs hot %d %q", q.method, q.path, i, lc, lb, hc, hb)
-			}
-		}
-	}
-
-	// Endpoints whose body carries a "cached" flag: cold-vs-cold then
-	// warm-vs-warm.
-	cachedQueries := []struct{ method, path, body string }{
-		{"POST", "/v1/completeness", `{"syscalls":["read","write","openat"]}`},
-		{"POST", "/v1/suggest", `{"supported":["read","write"],"k":4}`},
-		{"GET", "/v1/path?n=7", ""},
-		{"GET", "/v1/seccomp/PKG?deny=kill", ""},
-	}
-	var pkg string
-	for _, q := range cachedQueries {
-		path := q.path
-		if strings.Contains(path, "PKG") {
-			if pkg == "" {
-				pkg = eqStudy.Packages()[0]
-			}
-			path = strings.Replace(path, "PKG", pkg, 1)
-		}
-		lc0, lb0 := fetch(t, legacy, q.method, path, q.body)
-		hc0, hb0 := fetch(t, hot, q.method, path, q.body)
-		if lc0 != hc0 || !bytes.Equal(lb0, hb0) {
-			t.Errorf("%s %s cold: legacy %d %q vs hot %d %q", q.method, path, lc0, lb0, hc0, hb0)
-		}
-		lc1, lb1 := fetch(t, legacy, q.method, path, q.body)
-		hc1, hb1 := fetch(t, hot, q.method, path, q.body)
-		if lc1 != hc1 || !bytes.Equal(lb1, hb1) {
-			t.Errorf("%s %s warm: legacy %d %q vs hot %d %q", q.method, path, lc1, lb1, hc1, hb1)
-		}
-	}
-
-	// Hotset-precomputed answers: the byte path is warm from the first
-	// request, so hot(first) == legacy(second) == hot(second).
-	for _, path := range []string{"/v1/path", "/v1/compat/systems"} {
-		_, _ = fetch(t, legacy, "GET", path, "") // warm the legacy cache
-		lc, lb := fetch(t, legacy, "GET", path, "")
-		hc0, hb0 := fetch(t, hot, "GET", path, "")
-		hc1, hb1 := fetch(t, hot, "GET", path, "")
-		if lc != hc0 || !bytes.Equal(lb, hb0) {
-			t.Errorf("GET %s: hot first response != legacy warm response", path)
-		}
-		if hc0 != hc1 || !bytes.Equal(hb0, hb1) {
-			t.Errorf("GET %s: hot responses differ between requests", path)
-		}
-	}
-
-	// Suggest k-range: every k the hotset precomputes and one past it.
-	for k := 1; k <= 9; k++ {
-		body := `{"supported":["read","write","openat","close"],"k":` + string(rune('0'+k)) + `}`
-		_, lb := fetch(t, legacy, "POST", "/v1/suggest", body)
-		_, hb := fetch(t, hot, "POST", "/v1/suggest", body)
-		_, lb2 := fetch(t, legacy, "POST", "/v1/suggest", body)
-		_, hb2 := fetch(t, hot, "POST", "/v1/suggest", body)
-		if !bytes.Equal(lb, hb) || !bytes.Equal(lb2, hb2) {
-			t.Errorf("suggest k=%d diverged between read paths", k)
-		}
-	}
-}
-
-// TestByteHandlersMatchLegacyTrends repeats the equivalence check on
-// the trend and generation-selector routes, with the same release
-// series resident behind both read paths.
-func TestByteHandlersMatchLegacyTrends(t *testing.T) {
-	legacySvc, hotSvc := freshTrendsService(t), freshTrendsService(t)
-	legacy := httptest.NewServer(New(legacySvc, Options{RequestTimeout: time.Minute, LegacyReadPath: true}))
-	defer legacy.Close()
-	hot := httptest.NewServer(New(hotSvc, Options{RequestTimeout: time.Minute}))
-	defer hot.Close()
-
-	queries := []struct{ method, path, body string }{
-		{"GET", "/v1/trends/importance?top=5", ""},
-		{"GET", "/v1/trends/importance?api=open", ""},
-		{"GET", "/v1/trends/completeness", ""},
-		{"GET", "/v1/trends/completeness?target=graphene", ""},
-		{"GET", "/v1/trends/path", ""},
-		{"GET", "/v1/trends/path?direction=toward&limit=3", ""},
-		{"GET", "/v1/trends/path?direction=sideways", ""}, // 400, same both ways
-		{"GET", "/v1/importance/open?gen=1", ""},
-		{"GET", "/v1/importance/open?gen=99", ""}, // bad generation: 400
-		{"GET", "/v1/path?gen=0&n=5", ""},
-		{"POST", "/v1/completeness?gen=1", `{"syscalls":["read","write","openat"]}`},
-		{"POST", "/v1/suggest?gen=0", `{"supported":["read","write"],"k":3}`},
-	}
-	for _, q := range queries {
-		for pass := 0; pass < 2; pass++ { // cold then warm
-			lc, lb := fetch(t, legacy, q.method, q.path, q.body)
-			hc, hb := fetch(t, hot, q.method, q.path, q.body)
-			if lc != hc || !bytes.Equal(lb, hb) {
-				t.Errorf("%s %s (pass %d): legacy %d %q vs hot %d %q", q.method, q.path, pass, lc, lb, hc, hb)
-			}
-		}
-	}
-}
-
-// freshTrendsService builds a new service over the shared test study
-// with the shared 3-generation series installed.
-func freshTrendsService(t *testing.T) *service.Service {
-	t.Helper()
-	_, base := testAPI(t)
-	_, reference := trendsAPI(t) // forces the shared series fixture to exist
-	svc := service.New(base.Snapshot().Study, "trends-eq", service.Config{})
-	svc.InstallSeries(reference.Series(), time.Second)
-	return svc
-}
-
 // TestETagRoundTrip pins conditional-request behavior on the byte
 // path: a response carries a strong ETag; replaying it in
 // If-None-Match yields 304 with an empty body; a different validator
 // yields the full answer again.
 func TestETagRoundTrip(t *testing.T) {
-	_, hot := eqServers(t)
+	hot := eqServer(t)
 
 	resp, err := hot.Client().Get(hot.URL + "/v1/importance/read")
 	if err != nil {
@@ -284,7 +147,7 @@ func TestETagRoundTrip(t *testing.T) {
 // path and checks /metrics exports the per-endpoint cache series, the
 // hotset gauges, and the singleflight counter.
 func TestPerEndpointCacheMetrics(t *testing.T) {
-	_, hot := eqServers(t)
+	hot := eqServer(t)
 
 	// importance: hotset hit. footprint: byte-cache miss then hit.
 	fetch(t, hot, "GET", "/v1/importance/read", "")

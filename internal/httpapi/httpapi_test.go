@@ -42,6 +42,16 @@ func testAPI(t *testing.T) (*API, *service.Service) {
 	return srvAPI, srvSvc
 }
 
+// decodeAnswer unmarshals one service answer into a T, passing a query
+// error through.
+func decodeAnswer[T any](enc service.Encoded, err error) (T, error) {
+	var v T
+	if err == nil {
+		err = json.Unmarshal(enc.Body, &v)
+	}
+	return v, err
+}
+
 func getJSON(t *testing.T, ts *httptest.Server, path string, wantCode int, v any) {
 	t.Helper()
 	resp, err := ts.Client().Get(ts.URL + path)
@@ -167,7 +177,7 @@ func TestPathFootprintSeccompEndpoints(t *testing.T) {
 
 	var pkg string
 	for _, p := range svc.Snapshot().Study.Packages() {
-		if fp, err := svc.Footprint(p); err == nil && len(fp.Syscalls) > 0 {
+		if fp, err := decodeAnswer[service.FootprintResult](svc.FootprintBytes(-1, p)); err == nil && len(fp.Syscalls) > 0 {
 			pkg = p
 			break
 		}

@@ -105,7 +105,10 @@ func TestSnapshotPushLifecycle(t *testing.T) {
 	ref := service.New(a, "in-process", service.Config{})
 	var got service.ImportanceResult
 	getJSON(t, ts, "/v1/importance/read", http.StatusOK, &got)
-	want := ref.Importance("read")
+	want, err := decodeAnswer[service.ImportanceResult](ref.ImportanceBytes(-1, "read"))
+	if err != nil {
+		t.Fatal(err)
+	}
 	if got.Importance != want.Importance || got.Unweighted != want.Unweighted {
 		t.Errorf("served importance %+v, want %+v", got, want)
 	}

@@ -52,21 +52,21 @@ func (a *API) handleTrendImportance(w http.ResponseWriter, r *http.Request) {
 		writeError(w, r, http.StatusBadRequest, "%v", err)
 		return
 	}
-	res, err := a.svc.TrendImportance(r.URL.Query().Get("api"), top)
+	enc, err := a.svc.TrendImportanceBytes(r.URL.Query().Get("api"), top)
 	if err != nil {
 		writeServiceError(w, r, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, res)
+	writeEncoded(w, r, enc)
 }
 
 func (a *API) handleTrendCompleteness(w http.ResponseWriter, r *http.Request) {
-	res, err := a.svc.TrendCompleteness(r.URL.Query().Get("target"))
+	enc, err := a.svc.TrendCompletenessBytes(r.URL.Query().Get("target"))
 	if err != nil {
 		writeServiceError(w, r, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, res)
+	writeEncoded(w, r, enc)
 }
 
 func (a *API) handleTrendPath(w http.ResponseWriter, r *http.Request) {
@@ -75,10 +75,10 @@ func (a *API) handleTrendPath(w http.ResponseWriter, r *http.Request) {
 		writeError(w, r, http.StatusBadRequest, "%v", err)
 		return
 	}
-	res, err := a.svc.TrendPath(r.URL.Query().Get("direction"), limit)
+	enc, err := a.svc.TrendPathBytes(r.URL.Query().Get("direction"), limit)
 	if err != nil {
 		writeServiceError(w, r, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, res)
+	writeEncoded(w, r, enc)
 }

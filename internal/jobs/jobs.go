@@ -312,13 +312,15 @@ func (m *Manager) Start() error {
 
 // Close stops dispatching and cancels running executions. In-flight
 // jobs interrupted by Close revert to queued (the attempt is not
-// charged), so a spooled manager resumes them on the next Start.
+// charged), so a spooled manager resumes them on the next Start. Close
+// returns only after every goroutine the manager started — dispatcher,
+// janitor, job runs and retry timers — has finished, so the refund of
+// an interrupted job is on the spool by then.
 func (m *Manager) Close() {
 	m.cancel()
 	m.mu.Lock()
-	for id, t := range m.timers {
-		t.Stop()
-		delete(m.timers, id)
+	for id := range m.timers {
+		m.stopTimerLocked(id)
 	}
 	m.mu.Unlock()
 	m.wakeDispatcher()
@@ -411,10 +413,7 @@ func (m *Manager) Submit(typ string, params json.RawMessage, opt SubmitOptions) 
 			return j.clone(), true, nil
 		}
 		// Failed or dead: fall through and restart under the same ID.
-		if t := m.timers[id]; t != nil {
-			t.Stop()
-			delete(m.timers, id)
-		}
+		m.stopTimerLocked(id)
 	}
 	if m.queue.len() >= m.cfg.MaxQueue {
 		m.stats.rejected++
@@ -555,15 +554,18 @@ func (m *Manager) wakeDispatcher() {
 	}
 }
 
-// dispatch pulls ready jobs off the queue and hands each to a pool
-// slot. The queue holds the backlog; the pool holds the concurrency.
+// dispatch hands ready jobs to pool slots. The queue holds the backlog;
+// the pool holds the concurrency. A slot is taken before a job is
+// popped, so while every slot is busy the waiting jobs stay in the
+// queue: a later, higher-priority submission still goes first, and the
+// waiting jobs count against MaxQueue.
 func (m *Manager) dispatch() {
 	defer m.done.Done()
 	for {
 		m.mu.Lock()
-		j := m.queue.pop()
+		backlog := m.queue.len()
 		m.mu.Unlock()
-		if j == nil {
+		if backlog == 0 {
 			select {
 			case <-m.queueWake:
 				continue
@@ -573,14 +575,20 @@ func (m *Manager) dispatch() {
 		}
 		release, err := m.pool.Acquire(m.ctx)
 		if err != nil {
-			// Shutting down: the popped job stays queued on disk (its
-			// state was never flipped), so a restart resumes it.
-			m.mu.Lock()
-			m.queue.push(j)
-			m.mu.Unlock()
+			// Shutting down: the backlog stays queued on disk (no state
+			// was flipped), so a restart resumes it.
 			return
 		}
+		m.mu.Lock()
+		j := m.queue.pop()
+		m.mu.Unlock()
+		if j == nil {
+			release()
+			continue
+		}
+		m.done.Add(1) // Close waits for the run, refund included
 		go func(id string) {
+			defer m.done.Done()
 			defer release()
 			m.run(id)
 		}(j.ID)
@@ -668,9 +676,18 @@ func (m *Manager) run(id string) {
 	m.notifyLocked(id)
 }
 
-// scheduleRetryLocked re-enqueues id after its backoff (m.mu held).
+// scheduleRetryLocked re-enqueues id after its backoff (m.mu held). A
+// pending timer counts in m.done until it fires or is stopped. Once
+// Close has begun no timer is armed: Close has already stopped the
+// pending ones and would wait out the new backoff, and the job is
+// spooled queued with its NotBefore, so a restart resumes it.
 func (m *Manager) scheduleRetryLocked(id string, d time.Duration) {
+	if m.ctx.Err() != nil {
+		return
+	}
+	m.done.Add(1)
 	m.timers[id] = time.AfterFunc(d, func() {
+		defer m.done.Done()
 		m.mu.Lock()
 		defer m.mu.Unlock()
 		delete(m.timers, id)
@@ -683,6 +700,16 @@ func (m *Manager) scheduleRetryLocked(id string, d time.Duration) {
 		m.queue.push(j)
 		m.wakeDispatcher()
 	})
+}
+
+// stopTimerLocked cancels id's pending retry timer, if any (m.mu held).
+func (m *Manager) stopTimerLocked(id string) {
+	if t := m.timers[id]; t != nil {
+		if t.Stop() {
+			m.done.Done() // it will never fire
+		}
+		delete(m.timers, id)
+	}
 }
 
 // backoffLocked returns the jittered exponential delay before the next

@@ -7,6 +7,8 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -33,6 +35,7 @@ func echoExec(typ string) Executor {
 
 func newTestManager(t *testing.T, cfg Config, execs ...Executor) *Manager {
 	t.Helper()
+	checkLeaks := leakCheck(t)
 	m := New(cfg)
 	for _, ex := range execs {
 		if err := m.Register(ex); err != nil {
@@ -42,8 +45,50 @@ func newTestManager(t *testing.T, cfg Config, execs ...Executor) *Manager {
 	if err := m.Start(); err != nil {
 		t.Fatalf("Start: %v", err)
 	}
-	t.Cleanup(m.Close)
+	t.Cleanup(func() {
+		m.Close()
+		checkLeaks()
+	})
 	return m
+}
+
+// leakCheck snapshots the live goroutines; the returned func fails the
+// test for every goroutine started since that is still running a
+// Manager method — one that outlived Close. A goroutine inside
+// WaitGroup.Done has finished its work and is only signalling Close,
+// which may return before that goroutine is descheduled; it is not a
+// leak, and neither is one already in runtime.goexit.
+func leakCheck(t *testing.T) func() {
+	before := goroutines()
+	return func() {
+		t.Helper()
+		for id, stack := range goroutines() {
+			frames, _, _ := strings.Cut(stack, "\ncreated by ")
+			if _, old := before[id]; !old && strings.Contains(frames, "jobs.(*Manager)") &&
+				!strings.Contains(frames, "sync.(*WaitGroup).Done") {
+				t.Errorf("goroutine outlived Close:\n%s", stack)
+			}
+		}
+	}
+}
+
+// goroutines maps each live goroutine's ID to its stack trace.
+func goroutines() map[string]string {
+	buf := make([]byte, 1<<16)
+	for {
+		n := runtime.Stack(buf, true)
+		if n < len(buf) {
+			buf = buf[:n]
+			break
+		}
+		buf = make([]byte, 2*len(buf))
+	}
+	out := make(map[string]string)
+	for _, g := range strings.Split(string(buf), "\n\n") {
+		id, _, _ := strings.Cut(strings.TrimPrefix(g, "goroutine "), " ")
+		out[id] = g
+	}
+	return out
 }
 
 func waitState(t *testing.T, m *Manager, id string, want State) *Job {
@@ -413,6 +458,7 @@ func TestSpoolRestartResumesQueuedJob(t *testing.T) {
 		}
 	}}
 
+	checkLeaks := leakCheck(t)
 	m1 := New(Config{SpoolDir: dir})
 	if err := m1.Register(blocking); err != nil {
 		t.Fatal(err)
@@ -426,8 +472,9 @@ func TestSpoolRestartResumesQueuedJob(t *testing.T) {
 	}
 	waitState(t, m1, j.ID, StateRunning)
 	// Graceful shutdown mid-execution: the attempt is refunded and the
-	// job parked queued on disk.
+	// job parked queued on disk before Close returns.
 	m1.Close()
+	checkLeaks()
 
 	data, err := os.ReadFile(filepath.Join(dir, "jobs", j.ID+".json"))
 	if err != nil {
@@ -458,6 +505,50 @@ func TestSpoolRestartResumesQueuedJob(t *testing.T) {
 	}
 	if st := m2.Stats(); st.Resumed != 1 {
 		t.Fatalf("resumed counter = %d, want 1", st.Resumed)
+	}
+}
+
+func TestCloseDuringTransientFailureReturnsPromptly(t *testing.T) {
+	// An executor that fails with its own error once the manager shuts
+	// down takes the retry branch while Close is running; Close must
+	// not wait out the backoff, and the job stays queued on disk.
+	dir := t.TempDir()
+	failing := fnExec{typ: "work", fn: func(ctx context.Context, _ json.RawMessage) (any, error) {
+		<-ctx.Done()
+		return nil, errors.New("backend went away")
+	}}
+
+	checkLeaks := leakCheck(t)
+	m := New(Config{SpoolDir: dir, RetryBase: time.Minute, RetryMax: time.Minute})
+	if err := m.Register(failing); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Start(); err != nil {
+		t.Fatal(err)
+	}
+	j, _, err := m.Submit("work", json.RawMessage(`{}`), SubmitOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitState(t, m, j.ID, StateRunning)
+
+	start := time.Now()
+	m.Close()
+	if took := time.Since(start); took > 10*time.Second {
+		t.Fatalf("Close took %s, want it not to wait out the retry backoff", took)
+	}
+	checkLeaks()
+
+	data, err := os.ReadFile(filepath.Join(dir, "jobs", j.ID+".json"))
+	if err != nil {
+		t.Fatalf("spool record missing after close: %v", err)
+	}
+	var spooled Job
+	if err := json.Unmarshal(data, &spooled); err != nil {
+		t.Fatal(err)
+	}
+	if spooled.State != StateQueued || spooled.NotBefore.IsZero() {
+		t.Fatalf("spooled record = %+v, want queued with a retry time", spooled)
 	}
 }
 

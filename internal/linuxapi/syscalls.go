@@ -1,5 +1,10 @@
 package linuxapi
 
+import (
+	"sort"
+	"strings"
+)
+
 // SyscallDef describes one entry in the x86-64 Linux 3.19 system-call table
 // (as listed in arch/x86/syscalls/syscall_64.tbl and exposed via unistd.h).
 type SyscallDef struct {
@@ -365,6 +370,27 @@ func SyscallByNum(num int) *SyscallDef { return syscallByNum[num] }
 
 // SyscallByName returns the table entry for a system-call name, or nil.
 func SyscallByName(name string) *SyscallDef { return syscallByName[name] }
+
+// SplitSyscalls trims, dedups and sorts names, splitting off any not in
+// the table — the canonical form of a submitted syscall set.
+func SplitSyscalls(names []string) (known, unknown []string) {
+	seen := make(map[string]bool, len(names))
+	for _, raw := range names {
+		name := strings.TrimSpace(raw)
+		if name == "" || seen[name] {
+			continue
+		}
+		seen[name] = true
+		if SyscallByName(name) != nil {
+			known = append(known, name)
+		} else {
+			unknown = append(unknown, name)
+		}
+	}
+	sort.Strings(known)
+	sort.Strings(unknown)
+	return known, unknown
+}
 
 // SyscallCount is the number of entries in the x86-64 table.
 func SyscallCount() int { return len(Syscalls) }

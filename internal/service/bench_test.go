@@ -1,18 +1,49 @@
-package service
+package service_test
+
+// The service benchmarks live in an external test package: the
+// hot-path benchmark's baseline is loadgen.Baseline, and loadgen
+// imports service.
 
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"sync"
 	"sync/atomic"
 	"testing"
+
+	"repro"
+	"repro/internal/loadgen"
+	"repro/internal/service"
 )
+
+var (
+	benchOnce  sync.Once
+	benchStudy *repro.Study
+	benchErr   error
+)
+
+// benchService serves one small study (built once per test binary)
+// from a fresh service.
+func benchService(b *testing.B) *service.Service {
+	b.Helper()
+	benchOnce.Do(func() {
+		benchStudy, benchErr = repro.NewStudy(repro.Config{Packages: 150, Installations: 200000, Seed: 21})
+	})
+	if benchErr != nil {
+		b.Fatal(benchErr)
+	}
+	return service.New(benchStudy, "bench", service.Config{})
+}
+
+var warmFlag = []byte(`"cached": true`)
 
 // BenchmarkServiceCompletenessQuery is the serving-path baseline: the
 // same weighted-completeness question answered cold (straight through
-// the metrics machinery) and warm (through the service's LRU cache).
+// the metrics machinery) and warm (through the service's byte cache).
 // Future serving PRs should move the cached number, not the uncached one.
 func BenchmarkServiceCompletenessQuery(b *testing.B) {
-	svc := newTestService(b, Config{})
+	svc := benchService(b)
 	path := svc.Snapshot().Study.GreedyPath()
 	var names []string
 	for _, pt := range path {
@@ -31,33 +62,33 @@ func BenchmarkServiceCompletenessQuery(b *testing.B) {
 	})
 
 	b.Run("cached", func(b *testing.B) {
-		if _, err := svc.Completeness(names); err != nil { // warm the entry
+		if _, err := svc.CompletenessBytes(-1, names); err != nil { // warm the entry
 			b.Fatal(err)
 		}
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			res, err := svc.Completeness(names)
+			enc, err := svc.CompletenessBytes(-1, names)
 			if err != nil {
 				b.Fatal(err)
 			}
-			if !res.Cached {
+			if !bytes.Contains(enc.Body, warmFlag) {
 				b.Fatal("cache miss on warm entry")
 			}
 		}
 	})
 
 	b.Run("uncached-through-service", func(b *testing.B) {
-		// A one-entry cache with two alternating sets: every query
-		// misses and pays the full metrics cost plus cache bookkeeping.
-		tiny := New(svc.Snapshot().Study, "bench", Config{CacheSize: 1})
-		sets := [2][]string{names, names[:len(names)-1]}
+		// A distinct unknown name per query: every query misses and pays
+		// the full metrics cost plus encoding and cache bookkeeping.
+		set := append([]string(nil), names...)
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			res, err := tiny.Completeness(sets[i%2])
+			set = append(set[:len(names)], fmt.Sprintf("unknown_%d", i))
+			enc, err := svc.CompletenessBytes(-1, set)
 			if err != nil {
 				b.Fatal(err)
 			}
-			if res.Cached {
+			if bytes.Contains(enc.Body, warmFlag) {
 				b.Fatal("unexpected cache hit")
 			}
 		}
@@ -67,13 +98,13 @@ func BenchmarkServiceCompletenessQuery(b *testing.B) {
 // BenchmarkQueryHotPath is the read-path showdown the serving gate is
 // built on: the same parallel mixed-read workload (importance-heavy
 // with completeness, suggest and path queries — the shape the load
-// generator drives) answered by the legacy struct path
-// (global-LRU structs re-encoded per request, what the handlers did)
-// and by the encoded byte path (hotset + sharded byte cache +
-// singleflight). Run with -benchmem; benchgate derives
+// generator drives) answered by the baseline read path (loadgen.Baseline:
+// structs behind one global-mutex cache, re-encoded per request) as
+// "legacy", and by the encoded byte path (hotset + sharded byte cache +
+// singleflight) as "hot". Run with -benchmem; benchgate derives
 // hotpath_speedup = legacy/hot and gates it >= 2x.
 func BenchmarkQueryHotPath(b *testing.B) {
-	svc := newTestService(b, Config{})
+	svc := benchService(b)
 	path := svc.Snapshot().Study.GreedyPath()
 	var names []string
 	for _, pt := range path {
@@ -84,8 +115,8 @@ func BenchmarkQueryHotPath(b *testing.B) {
 	}
 	sets := [][]string{names[:10], names[:25], names[:40]}
 
-	// encodeLegacy reproduces what the legacy handler did after the
-	// struct came back: encode indented JSON into a fresh buffer.
+	// encodeLegacy reproduces what the baseline handler does after the
+	// struct comes back: encode indented JSON into a fresh buffer.
 	encodeLegacy := func(b *testing.B, v any) {
 		var buf bytes.Buffer
 		enc := json.NewEncoder(&buf)
@@ -102,45 +133,30 @@ func BenchmarkQueryHotPath(b *testing.B) {
 	// shared counter: 4 importance : 2 completeness : 1 suggest : 1 path.
 	b.Run("legacy", func(b *testing.B) {
 		var ctr atomic.Uint64
-		// Warm the struct LRU so steady state is measured, not fill.
+		base := loadgen.NewBaseline(svc.Snapshot().Study)
+		// Warm the struct cache so steady state is measured, not fill.
 		for _, set := range sets {
-			if _, err := svc.Completeness(set); err != nil {
-				b.Fatal(err)
-			}
-			if _, err := svc.Suggest(set, 3); err != nil {
-				b.Fatal(err)
-			}
+			base.Completeness(set)
+			base.Suggest(set, 3)
 		}
-		if _, err := svc.GreedyPrefix(0); err != nil {
-			b.Fatal(err)
-		}
+		base.Path(0)
 		b.ReportAllocs()
 		b.ResetTimer()
 		b.RunParallel(func(pb *testing.PB) {
 			for pb.Next() {
 				i := ctr.Add(1)
+				var v any
 				switch i % 8 {
 				case 0, 1, 2, 3:
-					encodeLegacy(b, svc.Importance(names[i%40]))
+					_, v = base.Importance(names[i%40])
 				case 4, 5:
-					res, err := svc.Completeness(sets[i%3])
-					if err != nil {
-						b.Fatal(err)
-					}
-					encodeLegacy(b, res)
+					_, v = base.Completeness(sets[i%3])
 				case 6:
-					res, err := svc.Suggest(sets[i%3], 3)
-					if err != nil {
-						b.Fatal(err)
-					}
-					encodeLegacy(b, res)
+					_, v = base.Suggest(sets[i%3], 3)
 				default:
-					res, err := svc.GreedyPrefix(0)
-					if err != nil {
-						b.Fatal(err)
-					}
-					encodeLegacy(b, res)
+					_, v = base.Path(0)
 				}
+				encodeLegacy(b, v)
 			}
 		})
 	})
@@ -163,7 +179,7 @@ func BenchmarkQueryHotPath(b *testing.B) {
 		b.RunParallel(func(pb *testing.PB) {
 			for pb.Next() {
 				i := ctr.Add(1)
-				var enc Encoded
+				var enc service.Encoded
 				var err error
 				switch i % 8 {
 				case 0, 1, 2, 3:

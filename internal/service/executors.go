@@ -391,20 +391,20 @@ func (e planBuildExec) Execute(ctx context.Context, raw json.RawMessage) (any, e
 		systems = append(systems, sys)
 	}
 	snap := e.s.Snapshot()
-	// One ensureMatrix pays (or replays) the verdict build; the per-system
-	// plans after it are cheap and land in the caches for the read path.
+	// One ensureMatrix pays (or replays) the verdict build and publishes
+	// every system's plan to the read path's hotset; the per-system plans
+	// built here after it are cheap, and are fresh builds, not cache reads.
 	m := e.s.ensureMatrix(snap)
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 	out := PlanBuildResult{Stats: m.Stats, Generation: snap.Generation}
+	in, path := snap.Study.Core().Input, snap.Study.GreedyPath()
 	for _, sys := range systems {
-		res, err := e.s.planFor(snap, sys)
-		if err != nil {
-			return nil, jobs.Permanent(err)
-		}
-		res.Cached = false // job results are fresh builds, not cache reads
-		out.Plans = append(out.Plans, res)
+		out.Plans = append(out.Plans, PlanResult{
+			Plan:       stubplan.BuildPlan(in, path, sys, m),
+			Generation: snap.Generation,
+		})
 	}
 	return out, nil
 }

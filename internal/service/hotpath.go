@@ -1,18 +1,15 @@
 package service
 
-// The encoded-answer read path. Query handlers used to decode cached
-// structs and re-encode JSON per request behind one global LRU mutex;
-// under concurrency that is a lock convoy plus redundant marshaling.
-// The byte path keeps the response *bytes*: a request resolves, in
-// order, against (1) the per-generation hotset — precomputed answers
-// published atomically alongside the snapshot swap, a plain map lookup
-// with no lock at all — (2) the sharded byte-bounded cache, one
-// per-shard mutex around a map probe, and (3) a singleflighted
-// compute-and-encode that seeds the cache. Responses are byte-identical
-// to what the legacy struct path would have written (equivalence is
-// pinned by tests): a cold miss encodes the answer twice — the served
-// copy says "cached": false, the stored copy says "cached": true —
-// mirroring how first and repeat requests always differed.
+// The encoded-answer read path, the service's only query surface. It
+// keeps response *bytes*, not structs: a request resolves, in order,
+// against (1) the per-generation hotset — precomputed answers published
+// atomically alongside the snapshot swap, a plain map lookup with no
+// lock at all — (2) the sharded byte-bounded cache, one per-shard mutex
+// around a map probe, and (3) a singleflighted compute-and-encode that
+// seeds the cache. A cold miss encodes the answer twice — the served
+// copy says "cached": false, the stored copy says "cached": true — so
+// first and repeat requests differ only in that flag. Served bodies are
+// pinned by the golden response files in internal/httpapi/testdata.
 
 import (
 	"bytes"
@@ -20,13 +17,10 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
-	"sort"
 	"strconv"
-	"strings"
 	"sync"
 
 	"repro"
-	"repro/internal/evolution"
 	"repro/internal/linuxapi"
 	"repro/internal/metrics"
 )
@@ -71,9 +65,12 @@ func etagFor(base, key string) string {
 	return `"` + hex.EncodeToString(h[:8]) + `"`
 }
 
-// studyCtx resolves the study a byte query runs against, like studyFor,
-// plus the ETag base for the serving identity. The base is a func so
-// series-generation requests only pay the fingerprint on cache misses.
+// studyCtx resolves the study a query runs against — the resident
+// snapshot (gen < 0) or one generation of the resident series — with
+// the generation value to report, the cache-key prefix that makes
+// answers unique per serving identity, and the ETag base for that
+// identity. The base is a func so series-generation requests only pay
+// the fingerprint on cache misses.
 func (s *Service) studyCtx(gen int) (*repro.Study, uint64, string, func() string, error) {
 	if gen < 0 {
 		snap := s.Snapshot()
@@ -139,9 +136,8 @@ func (s *Service) fetchEncoded(ep *endpointCounters, key string, etagBase func()
 	return enc, nil
 }
 
-// Answer builders shared by the byte path and the hotset: each
-// assembles exactly the struct the legacy path serves, so the encoded
-// bytes cannot drift from the struct path's.
+// Answer builders shared by the compute path and the hotset, so a
+// precomputed answer cannot drift from a computed one.
 
 func buildImportance(study *repro.Study, label uint64, name string) (ImportanceResult, int) {
 	res := ImportanceResult{
@@ -153,8 +149,8 @@ func buildImportance(study *repro.Study, label uint64, name string) (ImportanceR
 	}
 	status := 200
 	if !res.Known && res.Importance == 0 {
-		// Same verdict the legacy handler makes: 404 only for names
-		// outside the syscall table, 200 for known-but-unused calls.
+		// 404 only for names outside the syscall table, so typos are
+		// distinguishable from Table 3's genuinely unused calls (200).
 		status = 404
 	}
 	return res, status
@@ -210,10 +206,9 @@ func buildCompatRows(study *repro.Study) []SystemRow {
 	return rows
 }
 
-// Canonical byte-path cache keys. Unlike the legacy struct cache they
-// embed *every* input that shapes the response — the completeness and
-// suggest keys include the unknown-name set because the stored bytes
-// carry the "unknown" field the old float-only cache did not.
+// Canonical cache keys. They embed *every* input that shapes the
+// response — the completeness and suggest keys include the unknown-name
+// set because the stored bytes carry the "unknown" field.
 
 func impKey(prefix, name string) string { return "imp|" + prefix + "|" + name }
 
@@ -229,8 +224,9 @@ func pathKey(prefix string, n int) string {
 	return "pathq|" + prefix + "|" + strconv.Itoa(n)
 }
 
-// ImportanceBytes is the byte-path Importance: on the resident snapshot
-// every table syscall is a hotset hit.
+// ImportanceBytes reports the measured importance of one system call
+// in a selected generation (gen < 0: the resident snapshot, where every
+// table syscall is a hotset hit).
 func (s *Service) ImportanceBytes(gen int, name string) (Encoded, error) {
 	study, label, prefix, base, err := s.studyCtx(gen)
 	if err != nil {
@@ -243,13 +239,14 @@ func (s *Service) ImportanceBytes(gen int, name string) (Encoded, error) {
 		})
 }
 
-// CompletenessBytes is the byte-path Completeness.
+// CompletenessBytes evaluates the weighted completeness of a supported
+// syscall set (§2.2) in a selected generation.
 func (s *Service) CompletenessBytes(gen int, names []string) (Encoded, error) {
 	study, label, prefix, base, err := s.studyCtx(gen)
 	if err != nil {
 		return Encoded{}, err
 	}
-	known, unknown := normalizeSyscalls(names)
+	known, unknown := linuxapi.SplitSyscalls(names)
 	return s.fetchEncoded(s.bcache.ep(epCompleteness), wcKey(prefix, known, unknown), base,
 		func() (any, any, int, error) {
 			return buildCompleteness(study, label, known, unknown, false),
@@ -257,7 +254,9 @@ func (s *Service) CompletenessBytes(gen int, names []string) (Encoded, error) {
 		})
 }
 
-// SuggestBytes is the byte-path Suggest.
+// SuggestBytes returns the k most valuable system calls missing from the
+// supported set (default 5), with the completeness reached after each
+// addition, in a selected generation.
 func (s *Service) SuggestBytes(gen int, supported []string, k int) (Encoded, error) {
 	if k <= 0 {
 		k = 5
@@ -266,7 +265,7 @@ func (s *Service) SuggestBytes(gen int, supported []string, k int) (Encoded, err
 	if err != nil {
 		return Encoded{}, err
 	}
-	known, unknown := normalizeSyscalls(supported)
+	known, unknown := linuxapi.SplitSyscalls(supported)
 	return s.fetchEncoded(s.bcache.ep(epSuggest), suggestKey(prefix, k, known, unknown), base,
 		func() (any, any, int, error) {
 			return buildSuggest(study, label, known, unknown, k, false),
@@ -274,9 +273,10 @@ func (s *Service) SuggestBytes(gen int, supported []string, k int) (Encoded, err
 		})
 }
 
-// PathBytes is the byte-path GreedyPrefix. Full-path requests (n <= 0,
-// or n at least the path length) normalize onto the hotset's
-// precomputed full answer.
+// PathBytes returns the first n steps of the greedy syscall path
+// (Figure 3) in a selected generation. Full-path requests (n <= 0, or n
+// at least the path length) normalize onto the hotset's precomputed
+// full answer.
 func (s *Service) PathBytes(gen, n int) (Encoded, error) {
 	study, label, prefix, base, err := s.studyCtx(gen)
 	if err != nil {
@@ -296,7 +296,8 @@ func (s *Service) PathBytes(gen, n int) (Encoded, error) {
 		})
 }
 
-// FootprintBytes is the byte-path Footprint.
+// FootprintBytes returns a package's measured syscall footprint in a
+// selected generation.
 func (s *Service) FootprintBytes(gen int, pkg string) (Encoded, error) {
 	study, label, prefix, base, err := s.studyCtx(gen)
 	if err != nil {
@@ -315,7 +316,8 @@ func (s *Service) FootprintBytes(gen int, pkg string) (Encoded, error) {
 		})
 }
 
-// SeccompBytes is the byte-path Seccomp.
+// SeccompBytes compiles a verified seccomp-BPF sandbox policy for a
+// package's footprint on the resident snapshot.
 func (s *Service) SeccompBytes(pkg, denyName string) (Encoded, error) {
 	deny, denyLabel, err := ParseDenyAction(denyName)
 	if err != nil {
@@ -348,8 +350,8 @@ func (s *Service) SeccompBytes(pkg, denyName string) (Encoded, error) {
 		})
 }
 
-// CompatSystemsBytes is the byte-path CompatSystems: a hotset hit on
-// the resident snapshot.
+// CompatSystemsBytes evaluates every modeled Linux compatibility layer
+// against the resident snapshot (Table 6): a hotset hit.
 func (s *Service) CompatSystemsBytes() (Encoded, error) {
 	study, label, prefix, base, err := s.studyCtx(-1)
 	if err != nil {
@@ -362,123 +364,5 @@ func (s *Service) CompatSystemsBytes() (Encoded, error) {
 			warm := cold
 			warm.Cached = true
 			return cold, warm, 200, nil
-		})
-}
-
-// trendCtx loads the resident series state for a trend byte query.
-func (s *Service) trendCtx() (*seriesState, func() string, error) {
-	ss := s.series.Load()
-	if ss == nil {
-		return nil, nil, ErrNoSeries
-	}
-	// The series install id is the serving identity for trend answers:
-	// a new install bumps it, retiring every derived key and ETag.
-	base := fmt.Sprintf("series-%d", ss.id)
-	return ss, func() string { return base }, nil
-}
-
-// TrendImportanceBytes is the byte-path TrendImportance.
-func (s *Service) TrendImportanceBytes(api string, top int) (Encoded, error) {
-	ss, base, err := s.trendCtx()
-	if err != nil {
-		return Encoded{}, err
-	}
-	s.trendImportanceQueries.Add(1)
-	var key string
-	if api != "" {
-		key = fmt.Sprintf("ti|%d|a|%s", ss.id, api)
-	} else {
-		if top <= 0 {
-			top = 20
-		}
-		key = fmt.Sprintf("ti|%d|t|%d", ss.id, top)
-	}
-	return s.fetchEncoded(s.bcache.ep(epTrends), key, base,
-		func() (any, any, int, error) {
-			tr := ss.series.Trends
-			out := TrendImportanceResult{
-				Generations: len(tr.Generations),
-				Trends:      []evolution.APITrend{},
-			}
-			if api != "" {
-				for _, row := range tr.Importance {
-					if row.API == api {
-						out.Trends = append(out.Trends, row)
-					}
-				}
-				return out, nil, 200, nil
-			}
-			rows := append([]evolution.APITrend(nil), tr.Importance...)
-			sort.SliceStable(rows, func(i, j int) bool {
-				di, dj := abs(rows[i].Drift), abs(rows[j].Drift)
-				if di != dj {
-					return di > dj
-				}
-				if rows[i].Kind != rows[j].Kind {
-					return rows[i].Kind < rows[j].Kind
-				}
-				return rows[i].API < rows[j].API
-			})
-			if len(rows) > top {
-				rows = rows[:top]
-			}
-			out.Trends = append(out.Trends, rows...)
-			return out, nil, 200, nil
-		})
-}
-
-// TrendCompletenessBytes is the byte-path TrendCompleteness.
-func (s *Service) TrendCompletenessBytes(target string) (Encoded, error) {
-	ss, base, err := s.trendCtx()
-	if err != nil {
-		return Encoded{}, err
-	}
-	s.trendCompletenessQueries.Add(1)
-	return s.fetchEncoded(s.bcache.ep(epTrends), fmt.Sprintf("tc|%d|%s", ss.id, target), base,
-		func() (any, any, int, error) {
-			tr := ss.series.Trends
-			out := TrendCompletenessResult{
-				Generations: len(tr.Generations),
-				Targets:     []evolution.TargetTrend{},
-			}
-			for _, row := range tr.Completeness {
-				if target == "" || strings.Contains(strings.ToLower(row.Name), strings.ToLower(target)) {
-					out.Targets = append(out.Targets, row)
-				}
-			}
-			return out, nil, 200, nil
-		})
-}
-
-// TrendPathBytes is the byte-path TrendPath.
-func (s *Service) TrendPathBytes(direction string, limit int) (Encoded, error) {
-	switch direction {
-	case "", "toward", "away", "stable":
-	default:
-		return Encoded{}, fmt.Errorf("service: unknown path trend direction %q (want toward, away, or stable)", direction)
-	}
-	ss, base, err := s.trendCtx()
-	if err != nil {
-		return Encoded{}, err
-	}
-	s.trendPathQueries.Add(1)
-	key := fmt.Sprintf("tp|%d|%s|%d", ss.id, direction, limit)
-	return s.fetchEncoded(s.bcache.ep(epTrends), key, base,
-		func() (any, any, int, error) {
-			tr := ss.series.Trends
-			out := TrendPathResult{
-				Generations: len(tr.Generations),
-				PathHead:    tr.PathHead,
-				Trends:      []evolution.PathTrend{},
-			}
-			for _, row := range tr.Path {
-				if direction == "" || row.Direction == direction {
-					out.Trends = append(out.Trends, row)
-				}
-				if limit > 0 && len(out.Trends) >= limit {
-					break
-				}
-			}
-			return out, nil, 200, nil
 		})
 }

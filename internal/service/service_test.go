@@ -2,7 +2,9 @@ package service
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -42,6 +44,16 @@ func newTestService(tb testing.TB, cfg Config) *Service {
 	return New(a, "test", cfg)
 }
 
+// decodeAnswer unmarshals one encoded answer into a T, passing a query
+// error through.
+func decodeAnswer[T any](enc Encoded, err error) (T, error) {
+	var v T
+	if err == nil {
+		err = json.Unmarshal(enc.Body, &v)
+	}
+	return v, err
+}
+
 func TestSnapshotBasics(t *testing.T) {
 	svc := newTestService(t, Config{})
 	snap := svc.Snapshot()
@@ -61,13 +73,17 @@ func TestSnapshotBasics(t *testing.T) {
 
 func TestImportanceQuery(t *testing.T) {
 	svc := newTestService(t, Config{})
-	res := svc.Importance("read")
-	if !res.Known || res.Importance < 0.999 {
-		t.Errorf("Importance(read) = %+v", res)
+	res, err := decodeAnswer[ImportanceResult](svc.ImportanceBytes(-1, "read"))
+	if err != nil || !res.Known || res.Importance < 0.999 {
+		t.Errorf("Importance(read) = %+v, %v", res, err)
 	}
-	res = svc.Importance("not_a_syscall")
-	if res.Known || res.Importance != 0 {
-		t.Errorf("Importance(not_a_syscall) = %+v", res)
+	enc, err := svc.ImportanceBytes(-1, "not_a_syscall")
+	if err != nil || enc.Status != 404 {
+		t.Fatalf("Importance(not_a_syscall) = %d, %v", enc.Status, err)
+	}
+	res, err = decodeAnswer[ImportanceResult](enc, nil)
+	if err != nil || res.Known || res.Importance != 0 {
+		t.Errorf("Importance(not_a_syscall) = %+v, %v", res, err)
 	}
 }
 
@@ -75,7 +91,7 @@ func TestCompletenessCacheAccounting(t *testing.T) {
 	svc := newTestService(t, Config{})
 	names := []string{"read", "write", "openat", "close", "mmap"}
 
-	first, err := svc.Completeness(names)
+	first, err := decodeAnswer[CompletenessResult](svc.CompletenessBytes(-1, names))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +103,7 @@ func TestCompletenessCacheAccounting(t *testing.T) {
 	}
 
 	// Same set in different order and with duplicates must hit the cache.
-	again, err := svc.Completeness([]string{"mmap", "close", "openat", "write", "read", "read"})
+	again, err := decodeAnswer[CompletenessResult](svc.CompletenessBytes(-1, []string{"mmap", "close", "openat", "write", "read", "read"}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,15 +115,15 @@ func TestCompletenessCacheAccounting(t *testing.T) {
 	}
 
 	st := svc.Stats()
-	if st.CacheHits != 1 || st.CacheMisses != 1 {
-		t.Errorf("cache hits/misses = %d/%d, want 1/1", st.CacheHits, st.CacheMisses)
+	if st.ByteCacheHits != 1 || st.ByteCacheMisses != 1 {
+		t.Errorf("cache hits/misses = %d/%d, want 1/1", st.ByteCacheHits, st.ByteCacheMisses)
 	}
 	if got := st.HitRatio(); got != 0.5 {
 		t.Errorf("hit ratio = %v, want 0.5", got)
 	}
 
 	// Unknown names are split out, not silently counted.
-	res, err := svc.Completeness([]string{"read", "not_a_syscall"})
+	res, err := decodeAnswer[CompletenessResult](svc.CompletenessBytes(-1, []string{"read", "not_a_syscall"}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,35 +132,49 @@ func TestCompletenessCacheAccounting(t *testing.T) {
 	}
 }
 
+// TestLRUEviction pins the byte cache's per-shard eviction order: with
+// room for two entries in a shard, touching one and adding a third
+// evicts the least recently used.
 func TestLRUEviction(t *testing.T) {
-	c := newLRU(2)
-	c.Add("a", 1)
-	c.Add("b", 2)
-	if _, ok := c.Get("a"); !ok {
+	c := newByteCache(0) // floor: 32 shards x 1 KiB
+	ep := c.ep(epFootprint)
+	// Three keys on one shard, each entry charged ~450 of its 1 KiB.
+	var keys []string
+	for i := 0; len(keys) < 3; i++ {
+		k := fmt.Sprintf("fp|1|p%d", i)
+		if c.shardFor(k) == c.shardFor("fp|1|p0") {
+			keys = append(keys, k)
+		}
+	}
+	a, b, cKey := keys[0], keys[1], keys[2]
+	body := Encoded{Status: 200, Body: make([]byte, 280), ETag: `"aa"`}
+	c.Add(ep, a, body)
+	c.Add(ep, b, body)
+	if _, ok := c.Get(ep, a); !ok {
 		t.Fatal("a missing before eviction")
 	}
-	c.Add("c", 3) // evicts b (least recently used)
-	if _, ok := c.Get("b"); ok {
+	c.Add(ep, cKey, body) // evicts b (least recently used)
+	if _, ok := c.Get(ep, b); ok {
 		t.Error("b survived eviction")
 	}
-	if _, ok := c.Get("a"); !ok {
+	if _, ok := c.Get(ep, a); !ok {
 		t.Error("a evicted out of order")
 	}
-	if _, ok := c.Get("c"); !ok {
+	if _, ok := c.Get(ep, cKey); !ok {
 		t.Error("c missing")
 	}
-	hits, misses, length, capacity := c.Stats()
-	if length != 2 || capacity != 2 {
-		t.Errorf("len/cap = %d/%d, want 2/2", length, capacity)
+	st := c.Stats()
+	if st.Entries != 2 || st.Evictions != 1 {
+		t.Errorf("entries/evictions = %d/%d, want 2/1", st.Entries, st.Evictions)
 	}
-	if hits != 3 || misses != 1 {
-		t.Errorf("hits/misses = %d/%d, want 3/1", hits, misses)
+	if st.Hits != 3 || st.Misses != 1 {
+		t.Errorf("hits/misses = %d/%d, want 3/1", st.Hits, st.Misses)
 	}
 }
 
 func TestSuggestQuery(t *testing.T) {
 	svc := newTestService(t, Config{})
-	res, err := svc.Suggest([]string{"read", "write"}, 3)
+	res, err := decodeAnswer[SuggestResult](svc.SuggestBytes(-1, []string{"read", "write"}, 3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +191,7 @@ func TestSuggestQuery(t *testing.T) {
 		}
 		prev = sg.CompletenessAfter
 	}
-	again, err := svc.Suggest([]string{"write", "read"}, 3)
+	again, err := decodeAnswer[SuggestResult](svc.SuggestBytes(-1, []string{"write", "read"}, 3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,7 +202,7 @@ func TestSuggestQuery(t *testing.T) {
 
 func TestGreedyPrefix(t *testing.T) {
 	svc := newTestService(t, Config{})
-	res, err := svc.GreedyPrefix(10)
+	res, err := decodeAnswer[GreedyPrefixResult](svc.PathBytes(-1, 10))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,7 +221,7 @@ func TestFootprintAndSeccomp(t *testing.T) {
 	pkgs := svc.Snapshot().Study.Packages()
 	var pkg string
 	for _, p := range pkgs {
-		if fps, err := svc.Footprint(p); err == nil && len(fps.Syscalls) > 0 {
+		if fps, err := decodeAnswer[FootprintResult](svc.FootprintBytes(-1, p)); err == nil && len(fps.Syscalls) > 0 {
 			pkg = p
 			break
 		}
@@ -200,11 +230,11 @@ func TestFootprintAndSeccomp(t *testing.T) {
 		t.Fatal("no package with a syscall footprint")
 	}
 
-	if _, err := svc.Footprint("no-such-package"); !errors.Is(err, ErrUnknownPackage) {
+	if _, err := svc.FootprintBytes(-1, "no-such-package"); !errors.Is(err, ErrUnknownPackage) {
 		t.Errorf("Footprint(no-such-package) err = %v", err)
 	}
 
-	sec, err := svc.Seccomp(pkg, "errno")
+	sec, err := decodeAnswer[SeccompResult](svc.SeccompBytes(pkg, "errno"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,24 +244,24 @@ func TestFootprintAndSeccomp(t *testing.T) {
 	if sec.Cached {
 		t.Error("first seccomp query reported cached")
 	}
-	sec2, err := svc.Seccomp(pkg, "")
+	sec2, err := decodeAnswer[SeccompResult](svc.SeccompBytes(pkg, ""))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !sec2.Cached {
 		t.Error("default deny action did not reuse the errno cache entry")
 	}
-	if _, err := svc.Seccomp(pkg, "bogus"); err == nil {
+	if _, err := svc.SeccompBytes(pkg, "bogus"); err == nil {
 		t.Error("bogus deny action accepted")
 	}
-	if _, err := svc.Seccomp("no-such-package", "kill"); !errors.Is(err, ErrUnknownPackage) {
+	if _, err := svc.SeccompBytes("no-such-package", "kill"); !errors.Is(err, ErrUnknownPackage) {
 		t.Errorf("Seccomp(no-such-package) err = %v", err)
 	}
 }
 
 func TestCompatSystems(t *testing.T) {
 	svc := newTestService(t, Config{})
-	res, err := svc.CompatSystems()
+	res, err := decodeAnswer[CompatSystemsResult](svc.CompatSystemsBytes())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,12 +273,12 @@ func TestCompatSystems(t *testing.T) {
 			t.Errorf("bad row: %+v", row)
 		}
 	}
-	again, err := svc.CompatSystems()
+	again, err := decodeAnswer[CompatSystemsResult](svc.CompatSystemsBytes())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !again.Cached {
-		t.Error("second evaluation did not hit the cache")
+		t.Error("second evaluation was not served warm")
 	}
 }
 
@@ -308,7 +338,7 @@ func TestAnalyzePoolSaturation(t *testing.T) {
 // response is internally consistent with exactly one generation.
 func TestConcurrentQueriesDuringSwap(t *testing.T) {
 	a, b := testStudies(t)
-	svc := New(a, "gen-a", Config{CacheSize: 64})
+	svc := New(a, "gen-a", Config{CacheBytes: 64 << 10})
 
 	const workers = 8
 	stop := make(chan struct{})
@@ -326,7 +356,7 @@ func TestConcurrentQueriesDuringSwap(t *testing.T) {
 					return
 				default:
 				}
-				res, err := svc.Completeness(names[:1+(i+w)%len(names)])
+				res, err := decodeAnswer[CompletenessResult](svc.CompletenessBytes(-1, names[:1+(i+w)%len(names)]))
 				if err != nil {
 					errc <- err
 					return
@@ -335,14 +365,18 @@ func TestConcurrentQueriesDuringSwap(t *testing.T) {
 					errc <- errors.New("zero generation in response")
 					return
 				}
-				if sg, err := svc.Suggest(names[:2], 2); err != nil {
+				if sg, err := decodeAnswer[SuggestResult](svc.SuggestBytes(-1, names[:2], 2)); err != nil {
 					errc <- err
 					return
 				} else if sg.Generation == 0 {
 					errc <- errors.New("zero generation in suggestion")
 					return
 				}
-				imp := svc.Importance("read")
+				imp, err := decodeAnswer[ImportanceResult](svc.ImportanceBytes(-1, "read"))
+				if err != nil {
+					errc <- err
+					return
+				}
 				if imp.Importance < 0.999 {
 					errc <- errors.New("importance torn during swap")
 					return
@@ -372,7 +406,7 @@ func TestConcurrentQueriesDuringSwap(t *testing.T) {
 		t.Errorf("final generation = %d, want %d", got, len(studies)+1)
 	}
 	// After the swaps, fresh queries serve the latest snapshot.
-	res, err := svc.Completeness(names)
+	res, err := decodeAnswer[CompletenessResult](svc.CompletenessBytes(-1, names))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -419,7 +453,7 @@ func TestConcurrentReloadAndQuery(t *testing.T) {
 					return
 				default:
 				}
-				res, err := svc.Completeness([]string{"read", "write"})
+				res, err := decodeAnswer[CompletenessResult](svc.CompletenessBytes(-1, []string{"read", "write"}))
 				if err != nil {
 					errc <- err
 					return

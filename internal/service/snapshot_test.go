@@ -1,6 +1,7 @@
 package service
 
 import (
+	"bytes"
 	"errors"
 	"os"
 	"path/filepath"
@@ -28,7 +29,7 @@ func TestLoadSnapshotFileSwapsAtFileGeneration(t *testing.T) {
 
 	// The empty gen-1 study is cached under generation-1 keys; the pushed
 	// snapshot reuses generation 1, so the swap must clear the cache.
-	before, err := svc.GreedyPrefix(5)
+	before, err := decodeAnswer[GreedyPrefixResult](svc.PathBytes(-1, 5))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +51,7 @@ func TestLoadSnapshotFileSwapsAtFileGeneration(t *testing.T) {
 	if snap.Meta.Fingerprint != a.Fingerprint() {
 		t.Errorf("fingerprint = %q, want %q", snap.Meta.Fingerprint, a.Fingerprint())
 	}
-	after, err := svc.GreedyPrefix(5)
+	after, err := decodeAnswer[GreedyPrefixResult](svc.PathBytes(-1, 5))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,11 +74,11 @@ func TestSnapshotServedAnswersMatchInProcess(t *testing.T) {
 	}
 
 	names := []string{"read", "write", "open", "close", "mmap", "futex"}
-	got, err := svc.Completeness(names)
+	got, err := decodeAnswer[CompletenessResult](svc.CompletenessBytes(-1, names))
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := ref.Completeness(names)
+	want, err := decodeAnswer[CompletenessResult](ref.CompletenessBytes(-1, names))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,9 +86,16 @@ func TestSnapshotServedAnswersMatchInProcess(t *testing.T) {
 		t.Errorf("completeness %v gen %d, want %v gen %d",
 			got.Completeness, got.Generation, want.Completeness, want.Generation)
 	}
-	gi, wi := svc.Importance("read"), ref.Importance("read")
-	if gi != wi {
-		t.Errorf("importance: got %+v want %+v", gi, wi)
+	gi, err := svc.ImportanceBytes(-1, "read")
+	if err != nil {
+		t.Fatal(err)
+	}
+	wi, err := ref.ImportanceBytes(-1, "read")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(gi.Body, wi.Body) {
+		t.Errorf("importance: got %s want %s", gi.Body, wi.Body)
 	}
 }
 
@@ -286,12 +294,15 @@ func TestSnapshotInstallDuringQueries(t *testing.T) {
 					return
 				default:
 				}
-				if _, err := svc.Completeness([]string{"read", "write", "openat"}); err != nil {
+				if _, err := svc.CompletenessBytes(-1, []string{"read", "write", "openat"}); err != nil {
 					t.Error(err)
 					return
 				}
-				svc.Importance("read")
-				if _, err := svc.GreedyPrefix(10); err != nil {
+				if _, err := svc.ImportanceBytes(-1, "read"); err != nil {
+					t.Error(err)
+					return
+				}
+				if _, err := svc.PathBytes(-1, 10); err != nil {
 					t.Error(err)
 					return
 				}

@@ -105,39 +105,11 @@ type PlanResult struct {
 	Cached     bool   `json:"cached"`
 }
 
-// Plan returns the ordered implement-vs-stub worklist for one modeled
-// compatibility layer, judged against measured stub/fake tolerance.
-// The first call of a generation pays the verdict-matrix build (or a
-// cache replay); later calls hit the derived-query cache.
-func (s *Service) Plan(system string) (PlanResult, error) {
-	sys, ok := compat.SystemByName(system)
-	if !ok {
-		return PlanResult{}, fmt.Errorf("%w: %q", ErrUnknownSystem, system)
-	}
-	s.planQueries.Add(1)
-	return s.planFor(s.Snapshot(), sys)
-}
-
-// planFor is the legacy-path plan build for an already-resolved system.
-func (s *Service) planFor(snap *Snapshot, sys compat.System) (PlanResult, error) {
-	key := planKey(strconv.FormatUint(snap.Generation, 10), sys)
-	v, hit, err := s.cached(key, func() (any, error) {
-		m := s.ensureMatrix(snap)
-		return stubplan.BuildPlan(snap.Study.Core().Input, snap.Study.GreedyPath(), sys, m), nil
-	})
-	if err != nil {
-		return PlanResult{}, err
-	}
-	return PlanResult{
-		Plan:       v.(*stubplan.Plan),
-		Generation: snap.Generation,
-		Cached:     hit,
-	}, nil
-}
-
-// PlanBytes is the byte-path Plan: after the generation's first plan
-// query publishes the per-system answers, every modeled system is a
-// hotset hit.
+// PlanBytes returns the ordered implement-vs-stub worklist for one
+// modeled compatibility layer, judged against measured stub/fake
+// tolerance. The generation's first plan query pays the verdict-matrix
+// build (or a cache replay) and publishes every system's answer, so
+// every later plan query is a hotset hit.
 func (s *Service) PlanBytes(system string) (Encoded, error) {
 	sys, ok := compat.SystemByName(system)
 	if !ok {

@@ -42,14 +42,17 @@ func planTestService(tb testing.TB) *Service {
 	return New(study, "plan-test", Config{Cache: cache})
 }
 
+// TestPlanLegacyPath checks the decoded plan contract: the first answer
+// is fresh, a repeat (any case) is warm, and a second system reuses the
+// one published matrix.
 func TestPlanLegacyPath(t *testing.T) {
 	svc := planTestService(t)
 
-	if _, err := svc.Plan("no-such-layer"); !errors.Is(err, ErrUnknownSystem) {
-		t.Fatalf("Plan(no-such-layer) err = %v, want ErrUnknownSystem", err)
+	if _, err := svc.PlanBytes("no-such-layer"); !errors.Is(err, ErrUnknownSystem) {
+		t.Fatalf("PlanBytes(no-such-layer) err = %v, want ErrUnknownSystem", err)
 	}
 
-	res, err := svc.Plan("graphene+sched")
+	res, err := decodeAnswer[PlanResult](svc.PlanBytes("graphene+sched"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +74,7 @@ func TestPlanLegacyPath(t *testing.T) {
 			res.Implement, res.Fake, res.Stub, len(res.Steps))
 	}
 
-	again, err := svc.Plan("Graphene+sched") // case-insensitive lookup
+	again, err := decodeAnswer[PlanResult](svc.PlanBytes("Graphene+sched")) // case-insensitive lookup
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +83,7 @@ func TestPlanLegacyPath(t *testing.T) {
 	}
 
 	// A second system reuses the published matrix: no second build.
-	if _, err := svc.Plan("freebsd-emu"); err != nil {
+	if _, err := svc.PlanBytes("freebsd-emu"); err != nil {
 		t.Fatal(err)
 	}
 	st := svc.Stats()

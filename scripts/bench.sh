@@ -5,8 +5,8 @@
 # benchmark, the evolution series cold-vs-warm benchmark, the
 # stub-aware plan cold-vs-warm benchmark (emulator-driven verdict
 # matrix vs cached verdict replay), and the parallel query hot-path
-# benchmark (legacy struct reads vs the encoded byte cache + hotset,
-# with -benchmem), writes BENCH_pipeline.json (the committed artifact
+# benchmark (the legacy struct-read baseline, loadgen.Baseline, vs the
+# encoded byte cache + hotset, with -benchmem), writes BENCH_pipeline.json (the committed artifact
 # documenting what the analysis cache buys, what fleet coordination
 # costs, what the dense bitset representation buys the aggregation
 # stage, what the columnar snapshot format buys a replica swap, what

@@ -12,9 +12,10 @@
 #      pprof listener — every stage must shed (429) rather than fail
 #      (5xx), and at least one stage must pass;
 #   3. an in-process max-throughput ceiling comparison of the legacy
-#      single-lock read path against the encoded hot path — the hot
-#      ceiling must be >= 2x the legacy ceiling (max_rps_under_slo and
-#      serving_throughput_speedup in the artifact).
+#      single-lock read path (kept as loadgen.Baseline in harness code,
+#      not in apiserved) against the served encoded hot path — the hot
+#      ceiling must be >= 2x the baseline ceiling (max_rps_under_slo
+#      and serving_throughput_speedup in the artifact).
 #
 # benchgate -serving folds all three into the committed artifact. This
 # is the serving path's integration gate above internal/loadgen's and
@@ -115,10 +116,11 @@ if [ -n "${PROFILE_OUT:-}" ]; then
     echo "load smoke: ramp CPU profile saved to $PROFILE_OUT"
 fi
 
-echo "== load smoke: read-path throughput ceilings (legacy vs hot, in-process)"
-# Explicit plan-free mix: the ceiling services are built in-process with
-# no verdict cache, so a plan request would cold-build the matrix inside
-# a one-second measurement stage.
+echo "== load smoke: read-path throughput ceilings (baseline vs hot, in-process)"
+# Explicit mix of the five read routes the baseline serves; plan-free
+# also because the ceiling service is built in-process with no verdict
+# cache, so a plan request would cold-build the matrix inside a
+# one-second measurement stage.
 "$tmp/apiload" -ceiling 1,2,4,8 -packages 60 -seed 17 \
     -mix importance=30,footprint=25,completeness=20,suggest=15,path=10 \
     -duration 1s -warmup 300ms -slo-p99 200 -load-seed 42 \
@@ -139,4 +141,4 @@ echo "== load smoke: benchgate -serving"
     exit 1
 }
 
-echo "load smoke OK: SLO held at 80 rps, ramp shed cleanly, hot read path >= 2x legacy ceiling"
+echo "load smoke OK: SLO held at 80 rps, ramp shed cleanly, hot read path >= 2x baseline ceiling"
