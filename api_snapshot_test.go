@@ -2,9 +2,14 @@ package repro
 
 import (
 	"bytes"
+	"fmt"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
+
+	"repro/internal/metrics"
+	"repro/internal/store"
 )
 
 // TestSnapshotStudyEquivalence is the core snapshot guarantee: a study
@@ -127,5 +132,40 @@ func TestEmptyStudy(t *testing.T) {
 	}
 	if got := s.SuggestNext(nil, 3); len(got) != 0 {
 		t.Errorf("empty SuggestNext = %v", got)
+	}
+}
+
+// TestSnapshotStoreTablesOnDemand: restoring a snapshot fills no store
+// tables, and Table 12's census — the only reader — comes out the same
+// for the built study and the restored one, with the counts an eager
+// metrics.Record yields.
+func TestSnapshotStoreTablesOnDemand(t *testing.T) {
+	s := smallStudy(t)
+	raw, err := s.EncodeSnapshot(5)
+	if err != nil {
+		t.Fatalf("EncodeSnapshot: %v", err)
+	}
+	r, err := DecodeSnapshotStudy(raw)
+	if err != nil {
+		t.Fatalf("DecodeSnapshotStudy: %v", err)
+	}
+	if tables, rows := r.Core().DB.Stats(); tables != 0 || rows != 0 {
+		t.Fatalf("after DecodeSnapshotStudy: store holds %d tables / %d rows, want none", tables, rows)
+	}
+	eager := store.NewDB()
+	metrics.Record(eager, s.Core().Input)
+	tables, rows := eager.Stats()
+
+	built, restored := s.Metrics().Table12(), r.Metrics().Table12()
+	if built != restored {
+		t.Errorf("Table12 differs:\nbuilt:\n%s\nrestored:\n%s", built, restored)
+	}
+	for _, want := range []string{
+		fmt.Sprintf("store tables:             %d (paper: 48)\n", tables),
+		fmt.Sprintf("store rows:               %d (paper: 428,634,030)\n", rows),
+	} {
+		if !strings.Contains(restored, want) {
+			t.Errorf("Table12 lacks %q:\n%s", want, restored)
+		}
 	}
 }

@@ -66,6 +66,11 @@ type artifact struct {
 	SnapshotOpen       sample  `json:"snapshot_open"`
 	SnapshotSpeedup    float64 `json:"snapshot_speedup"`
 	MinSnapshotSpeedup float64 `json:"min_snapshot_speedup"`
+	// SnapshotOpenAllocs is the most allocations any open run made; a
+	// replica install that starts rebuilding derived state again shows
+	// here first, so it is capped at MaxSnapshotOpenAllocs.
+	SnapshotOpenAllocs    float64 `json:"snapshot_open_allocs"`
+	MaxSnapshotOpenAllocs float64 `json:"max_snapshot_open_allocs"`
 	// Evolution rows (BenchmarkEvolutionSeriesColdVsWarm) gate the
 	// incremental series rebuild: the analysis cache carries unchanged
 	// packages byte-identically across generations, and a change that
@@ -113,13 +118,19 @@ const (
 	stubBench  = "BenchmarkStubPlanColdVsWarm"
 )
 
+// maxSnapshotOpenAllocs caps allocs/op of BenchmarkSnapshotOpenVsRebuild/open:
+// the measured 5,025 plus ~20%.
+const maxSnapshotOpenAllocs = 6000
+
 // benchLine matches one `go test -bench` result row, e.g.
 //
 //	BenchmarkStudyColdVsWarm/warm-8   3   163392605 ns/op
 //
-// The -8 GOMAXPROCS suffix is optional (absent on single-CPU runners).
+// The -8 GOMAXPROCS suffix is optional (absent on single-CPU runners);
+// an allocs/op column, present under -benchmem or b.ReportAllocs, is
+// captured too.
 var benchLine = regexp.MustCompile(
-	`^(Benchmark[^\s/]+)/(\w+)(?:-\d+)?\s+\d+\s+([0-9.]+) ns/op`)
+	`^(Benchmark[^\s/]+)/(\w+)(?:-\d+)?\s+\d+\s+([0-9.]+) ns/op(?:.*\s([0-9.]+) allocs/op)?`)
 
 func main() {
 	out := flag.String("out", "BENCH_pipeline.json", "artifact path")
@@ -154,6 +165,7 @@ func main() {
 	}
 
 	samples := map[string]*sample{}
+	openAllocs := -1.0
 	sc := bufio.NewScanner(os.Stdin)
 	for sc.Scan() {
 		line := sc.Text()
@@ -178,6 +190,12 @@ func main() {
 		}
 		if m[1] == snapBench {
 			key = "snapshot_" + key
+			if key == "snapshot_open" && m[4] != "" {
+				allocs, err := strconv.ParseFloat(m[4], 64)
+				if err == nil && allocs > openAllocs {
+					openAllocs = allocs
+				}
+			}
 		}
 		if m[1] == evoBench {
 			key = "evolution_" + key
@@ -225,6 +243,9 @@ func main() {
 				snapBench, name[len("snapshot_"):])
 		}
 	}
+	if openAllocs < 0 {
+		fatalf("no allocs/op on %s/open lines — does the benchmark still call b.ReportAllocs?", snapBench)
+	}
 	for _, name := range []string{"evolution_cold", "evolution_warm"} {
 		if s := samples[name]; s == nil || len(s.NsPerOp) == 0 {
 			fatalf("no %s/%s samples in input — did the benchmark run?",
@@ -267,6 +288,7 @@ func main() {
 		StubPlanWarm:        *samples["stubplan_warm"],
 		MinStubPlanSpeedup:  *minStub,
 	}
+	a.SnapshotOpenAllocs, a.MaxSnapshotOpenAllocs = openAllocs, maxSnapshotOpenAllocs
 	a.WarmSpeedup = round2(a.Cold.BestNs / a.Warm.BestNs)
 	a.IncrementalSpeedup = round2(a.Cold.BestNs / a.Incremental.BestNs)
 	a.AggregateSpeedup = round2(a.AggregateMap.BestNs / a.AggregateBitset.BestNs)
@@ -275,7 +297,8 @@ func main() {
 	a.HotpathSpeedup = round2(a.HotpathLegacy.BestNs / a.HotpathHot.BestNs)
 	a.StubPlanSpeedup = round2(a.StubPlanCold.BestNs / a.StubPlanWarm.BestNs)
 	a.Pass = a.WarmSpeedup >= *minWarm && a.AggregateSpeedup >= *minAgg &&
-		a.SnapshotSpeedup >= *minSnap && a.EvolutionSpeedup >= *minEvo &&
+		a.SnapshotSpeedup >= *minSnap && openAllocs <= maxSnapshotOpenAllocs &&
+		a.EvolutionSpeedup >= *minEvo &&
 		a.HotpathSpeedup >= *minHot && a.StubPlanSpeedup >= *minStub
 
 	if fl, f := samples["fleet_local"], samples["fleet"]; fl != nil && f != nil {
@@ -300,6 +323,8 @@ func main() {
 	fmt.Printf("benchgate: snapshot rebuild %.0fms vs open %.0fms — %.2fx speedup (floor %.2fx)\n",
 		a.SnapshotRebuild.BestNs/1e6, a.SnapshotOpen.BestNs/1e6,
 		a.SnapshotSpeedup, *minSnap)
+	fmt.Printf("benchgate: snapshot open %.0f allocs/op (ceiling %d)\n",
+		openAllocs, maxSnapshotOpenAllocs)
 	fmt.Printf("benchgate: evolution series cold %.0fms vs warm %.0fms — %.2fx speedup (floor %.2fx)\n",
 		a.EvolutionCold.BestNs/1e6, a.EvolutionWarm.BestNs/1e6,
 		a.EvolutionSpeedup, *minEvo)
@@ -324,6 +349,10 @@ func main() {
 	if a.SnapshotSpeedup < *minSnap {
 		fatalf("snapshot speedup %.2fx below floor %.2fx — the snapshot format regressed",
 			a.SnapshotSpeedup, *minSnap)
+	}
+	if openAllocs > maxSnapshotOpenAllocs {
+		fatalf("snapshot open %.0f allocs/op above ceiling %d — the replica install path regressed",
+			openAllocs, maxSnapshotOpenAllocs)
 	}
 	if a.EvolutionSpeedup < *minEvo {
 		fatalf("evolution warm speedup %.2fx below floor %.2fx — the incremental series rebuild regressed",

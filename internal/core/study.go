@@ -84,8 +84,9 @@ type Study struct {
 	Corpus   *corpus.Corpus
 	Input    *metrics.Input
 	Resolver *footprint.Resolver
-	DB       *store.DB
-	Tables   *metrics.Tables
+	// DB holds the store-backed relations (Table 12's store census);
+	// Tables fills it on first use.
+	DB *store.DB
 	// BinaryDirect maps "package/path" to the APIs that binary's own code
 	// requests (for the attribution tables).
 	BinaryDirect map[string]footprint.Set
@@ -101,6 +102,17 @@ type Study struct {
 	// needs instruction streams, re-analyzed lazily by EnsureEmulatable.
 	pendingEmu []pendingLib
 	emuMu      sync.Mutex
+
+	tablesOnce sync.Once
+	tables     *metrics.Tables
+}
+
+// Tables mirrors the study's relations into s.DB on first use and
+// returns them. Only Table 12's store census reads them, so neither a
+// build nor a snapshot restore pays for them up front.
+func (s *Study) Tables() *metrics.Tables {
+	s.tablesOnce.Do(func() { s.tables = metrics.Record(s.DB, s.Input) })
+	return s.tables
 }
 
 type pendingLib struct {
@@ -403,7 +415,6 @@ func RunWith(c *corpus.Corpus, opts footprint.Options, cache *anacache.Cache, an
 		Bits:       pkgFootprints,
 		DirectBits: pkgDirect,
 	}
-	s.Tables = metrics.Record(s.DB, s.Input)
 	return s, nil
 }
 

@@ -44,6 +44,8 @@ type Input struct {
 
 	colsOnce sync.Once
 	cols     columns
+	closOnce sync.Once
+	clos     closures
 }
 
 // columns is the dense form every metric computes over: packages in
@@ -84,6 +86,81 @@ func (in *Input) columns() *columns {
 		}
 	})
 	return &in.cols
+}
+
+// closures is every column package's dependency closure in CSR form:
+// the column indices of package i's closure members are
+// members[offsets[i]:offsets[i+1]]. Edges follow Repo through any
+// package, listed or not, but only members present in the columns are
+// kept — the only ones any metric can judge. A nil Repo leaves every
+// row empty. Derived once per Input.
+type closures struct {
+	offsets []int32
+	members []int32
+}
+
+// row returns the closure members of column package i.
+func (cl *closures) row(i int) []int32 {
+	return cl.members[cl.offsets[i]:cl.offsets[i+1]]
+}
+
+func (in *Input) closures() *closures {
+	in.closOnce.Do(func() {
+		c := in.columns()
+		cl := &in.clos
+		cl.offsets = make([]int32, len(c.pkgs)+1)
+		if in.Repo == nil {
+			return
+		}
+		// Nodes are the column packages first, then every other name an
+		// edge reaches (unlisted or dangling dependencies), numbered as
+		// first met; the loop resolves names as it appends them.
+		id := make(map[string]int32, len(c.pkgs))
+		names := append([]string(nil), c.pkgs...)
+		for i, pkg := range c.pkgs {
+			id[pkg] = int32(i)
+		}
+		var deps [][]int32
+		for n := 0; n < len(names); n++ {
+			var out []int32
+			if p := in.Repo.Get(names[n]); p != nil {
+				out = make([]int32, len(p.Depends))
+				for j, d := range p.Depends {
+					m, ok := id[d]
+					if !ok {
+						m = int32(len(names))
+						id[d] = m
+						names = append(names, d)
+					}
+					out[j] = m
+				}
+			}
+			deps = append(deps, out)
+		}
+		// seen[n] == i+1 marks node n as visited by the walk from column i.
+		seen := make([]int32, len(names))
+		var work []int32
+		for i := range c.pkgs {
+			mark := int32(i + 1)
+			seen[i] = mark
+			work = append(work[:0], int32(i))
+			for len(work) > 0 {
+				n := work[len(work)-1]
+				work = work[:len(work)-1]
+				if int(n) < len(c.pkgs) {
+					cl.members = append(cl.members, n)
+				}
+				for _, m := range deps[n] {
+					if seen[m] != mark {
+						seen[m] = mark
+						work = append(work, m)
+					}
+				}
+			}
+			cl.offsets[i+1] = int32(len(cl.members))
+		}
+	})
+	return &in.clos
 }
 
 // Universe returns every API appearing in any footprint.
@@ -271,25 +348,29 @@ func WeightedCompleteness(in *Input, supported footprint.Set, opts CompletenessO
 	if !opts.AllKinds {
 		mask = footprint.KindMask(opts.Kind)
 	}
-	okOwn := make(map[string]bool, len(c.pkgs))
+	okOwn := make([]bool, len(c.pkgs))
 	for i, pkg := range c.pkgs {
 		if w := opts.Waivable[pkg]; w != nil {
-			okOwn[pkg] = c.bits[i].SubsetOfWaived(sup, mask, footprint.LookupBits(w))
+			okOwn[i] = c.bits[i].SubsetOfWaived(sup, mask, footprint.LookupBits(w))
 		} else {
-			okOwn[pkg] = subsetOK(c.bits[i], sup, mask)
+			okOwn[i] = subsetOK(c.bits[i], sup, mask)
 		}
 	}
+	var cl *closures
+	if !opts.NoDependencyPropagation {
+		cl = in.closures()
+	}
 	var num, den float64
-	for _, pkg := range c.pkgs {
+	for i, pkg := range c.pkgs {
 		w := in.Survey.Fraction(pkg)
 		den += w
 		if w == 0 {
 			continue
 		}
-		good := okOwn[pkg]
-		if good && !opts.NoDependencyPropagation && in.Repo != nil {
-			for _, dep := range in.Repo.DependencyClosure(pkg) {
-				if ok, known := okOwn[dep]; known && !ok {
+		good := okOwn[i]
+		if good && cl != nil {
+			for _, dep := range cl.row(i) {
+				if !okOwn[dep] {
 					good = false
 					break
 				}
@@ -393,7 +474,7 @@ func greedyPath(in *Input, include func(linuxapi.API) bool, waivable map[string]
 	// skipping APIs waivable for the package, which a stub satisfies at
 	// every path point; with dependency propagation, the max over its
 	// closure.
-	demand := make(map[string]int, len(c.pkgs))
+	demand := make([]int, len(c.pkgs))
 	for i, pkg := range c.pkgs {
 		var wb *footprint.BitSet
 		if w := waivable[pkg]; w != nil {
@@ -408,31 +489,27 @@ func greedyPath(in *Input, include func(linuxapi.API) bool, waivable map[string]
 				d = r
 			}
 		})
-		demand[pkg] = d
+		demand[i] = d
 	}
-	effective := make(map[string]int, len(demand))
-	for pkg := range demand {
-		d := demand[pkg]
-		if in.Repo != nil {
-			for _, dep := range in.Repo.DependencyClosure(pkg) {
-				if dd, ok := demand[dep]; ok && dd > d {
-					d = dd
-				}
-			}
+	cl := in.closures()
+	effective := make([]int, len(demand))
+	for i, d := range demand {
+		for _, dep := range cl.row(i) {
+			d = max(d, demand[dep])
 		}
-		effective[pkg] = d
+		effective[i] = d
 	}
 
 	// Weight mass per demand level, accumulated in sorted package order:
-	// float addition is not associative, so ranging the map here would
-	// make the curve's low bits vary run to run (and differ between a
-	// corpus-built and a snapshot-restored server answering /v1/path).
+	// float addition is not associative, so any other order would make
+	// the curve's low bits differ (for instance between a corpus-built
+	// and a snapshot-restored server answering /v1/path).
 	massAt := make([]float64, len(apis)+1)
 	var total float64
-	for _, pkg := range c.pkgs {
+	for i, pkg := range c.pkgs {
 		w := in.Survey.Fraction(pkg)
 		total += w
-		massAt[effective[pkg]] += w
+		massAt[effective[i]] += w
 	}
 
 	out := make([]PathPoint, len(apis))

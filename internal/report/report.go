@@ -407,6 +407,7 @@ func (r *Report) Table11() string {
 
 // Table12 renders the framework's implementation statistics.
 func (r *Report) Table12() string {
+	r.Study.Tables() // the store is filled on first use
 	tables, rows := r.Study.DB.Stats()
 	var b strings.Builder
 	fmt.Fprintf(&b, "Table 12: analysis framework statistics\n")

@@ -156,21 +156,21 @@ func buildImportance(study *repro.Study, label uint64, name string) (ImportanceR
 	return res, status
 }
 
-func buildCompleteness(study *repro.Study, label uint64, known, unknown []string, cached bool) CompletenessResult {
+func buildCompleteness(label uint64, known, unknown []string, wc float64, cached bool) CompletenessResult {
 	return CompletenessResult{
 		Syscalls:     len(known),
 		Unknown:      unknown,
-		Completeness: study.WeightedCompleteness(known),
+		Completeness: wc,
 		Generation:   label,
 		Cached:       cached,
 	}
 }
 
-func buildSuggest(study *repro.Study, label uint64, known, unknown []string, k int, cached bool) SuggestResult {
+func buildSuggest(label uint64, known, unknown []string, sugg []repro.Suggestion, cached bool) SuggestResult {
 	return SuggestResult{
 		Supported:   len(known),
 		Unknown:     unknown,
-		Suggestions: study.SuggestNext(known, k),
+		Suggestions: sugg,
 		Generation:  label,
 		Cached:      cached,
 	}
@@ -249,8 +249,9 @@ func (s *Service) CompletenessBytes(gen int, names []string) (Encoded, error) {
 	known, unknown := linuxapi.SplitSyscalls(names)
 	return s.fetchEncoded(s.bcache.ep(epCompleteness), wcKey(prefix, known, unknown), base,
 		func() (any, any, int, error) {
-			return buildCompleteness(study, label, known, unknown, false),
-				buildCompleteness(study, label, known, unknown, true), 200, nil
+			wc := study.WeightedCompleteness(known)
+			return buildCompleteness(label, known, unknown, wc, false),
+				buildCompleteness(label, known, unknown, wc, true), 200, nil
 		})
 }
 
@@ -268,8 +269,9 @@ func (s *Service) SuggestBytes(gen int, supported []string, k int) (Encoded, err
 	known, unknown := linuxapi.SplitSyscalls(supported)
 	return s.fetchEncoded(s.bcache.ep(epSuggest), suggestKey(prefix, k, known, unknown), base,
 		func() (any, any, int, error) {
-			return buildSuggest(study, label, known, unknown, k, false),
-				buildSuggest(study, label, known, unknown, k, true), 200, nil
+			sugg := study.SuggestNext(known, k)
+			return buildSuggest(label, known, unknown, sugg, false),
+				buildSuggest(label, known, unknown, sugg, true), 200, nil
 		})
 }
 

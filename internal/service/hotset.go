@@ -79,10 +79,13 @@ func buildHotset(study *repro.Study, gen uint64, fingerprint string, packages in
 		}
 		known, unknown := linuxapi.SplitSyscalls(names)
 		add(wcKey(prefix, known, unknown), 200,
-			buildCompleteness(study, gen, known, unknown, true))
+			buildCompleteness(gen, known, unknown, study.WeightedCompleteness(known), true))
+		// SuggestNext(k) is a prefix of SuggestNext(hotsetSuggestMaxK):
+		// one greedy pass serves every k.
+		all := study.SuggestNext(known, hotsetSuggestMaxK)
 		for k := 1; k <= hotsetSuggestMaxK; k++ {
 			add(suggestKey(prefix, k, known, unknown), 200,
-				buildSuggest(study, gen, known, unknown, k, true))
+				buildSuggest(gen, known, unknown, all[:min(k, len(all))], true))
 		}
 	}
 	return h

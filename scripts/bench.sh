@@ -16,7 +16,8 @@
 # map-over-bitset, rebuild-over-open, evolution warm-over-cold,
 # stubplan cold-over-warm, or legacy-over-hot speedup drops below the
 # floors benchgate enforces (2x / 2x / 10x / 2x / 2x / 2x by default;
-# the fleet rows are informational). Run from the repository root; used by
+# the fleet rows are informational), or when a snapshot open allocates
+# more than benchgate's max_snapshot_open_allocs ceiling. Run from the repository root; used by
 # the `bench` job in .github/workflows/ci.yml and fine to run locally.
 set -eu
 

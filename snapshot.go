@@ -148,7 +148,6 @@ func StudyFromSnapshot(d *snapshot.Data) (*Study, error) {
 		Footprints: fps, Direct: dirs,
 		Bits: bits, DirectBits: dirBits,
 	}
-	db := store.NewDB()
 	cs := &core.Study{
 		Corpus: &corpus.Corpus{
 			Cfg:            corpus.Config{Packages: len(d.Packages), Installations: d.Installations},
@@ -158,7 +157,7 @@ func StudyFromSnapshot(d *snapshot.Data) (*Study, error) {
 		},
 		Input:        in,
 		Resolver:     footprint.NewResolver(),
-		DB:           db,
+		DB:           store.NewDB(),
 		BinaryDirect: map[string]footprint.Set{},
 		Stats: core.Stats{
 			Census: core.FileCensus{
@@ -179,7 +178,6 @@ func StudyFromSnapshot(d *snapshot.Data) (*Study, error) {
 			SkippedSamples:     skippedFromSamples(d.Meta.SkippedSamples),
 		},
 	}
-	cs.Tables = metrics.Record(db, in)
 	path := make([]metrics.PathPoint, 0, len(d.Path))
 	for i, pt := range d.Path {
 		path = append(path, metrics.PathPoint{
